@@ -91,8 +91,8 @@ class HierarchicalCfm {
 
   /// Engine registration, decomposed by tick domain: the cross-cluster
   /// controller and the global CFM stay in the shared domain while each
-  /// cluster's CFM gets its own domain, so a ParallelEngine tours all
-  /// cluster banks concurrently.  Drive the machine either via attach() +
+  /// cluster's CFM gets its own domain, whose tours the fast path may fuse
+  /// over a span independently.  Drive the machine either via attach() +
   /// engine stepping or via manual tick() calls, never both.
   void attach(sim::Engine& engine);
 

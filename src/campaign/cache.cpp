@@ -60,7 +60,7 @@ void ResultCache::store(const PointSpec& point, const sim::Json& result) const {
   entry["result"] = result;
   const std::string path = path_for(point);
   // Per-process AND per-thread temp name: duplicate grid points may store
-  // concurrently from different pool workers, and two *campaign
+  // concurrently from different campaign threads, and two *campaign
   // processes* sharing a cache directory (sharded sweeps) can collide on
   // identical thread-id hashes — each writer needs its own temp file so
   // the rename is the only point of contention (last writer wins, both

@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <sstream>
@@ -10,7 +11,6 @@
 
 #include "campaign/lease.hpp"
 #include "campaign/runner.hpp"
-#include "sim/parallel_engine.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -97,8 +97,8 @@ CampaignResult run_campaign(const Scenario& scenario,
   // internally.  The cache store runs *inside* the bounded retry loop,
   // so an environmental store failure (cross-device rename, yanked
   // cache dir) retries with the point and, if persistent, surfaces as a
-  // failed point in the report instead of vanishing or terminating a
-  // pool thread.
+  // failed point in the report instead of vanishing or terminating an
+  // executing thread.
   const auto run_one = [&](std::size_t index) {
     PointRun& run = runs[index];
     execute_with_retry(run, scenario.retries(), runner,
@@ -109,12 +109,31 @@ CampaignResult run_campaign(const Scenario& scenario,
                       ? options.jobs
                       : std::max(1u, std::thread::hardware_concurrency());
   if (misses.size() < jobs) jobs = static_cast<unsigned>(misses.size());
-  if (jobs <= 1) {
-    for (const auto index : misses) run_one(index);
-  } else {
-    sim::WorkerPool pool(jobs - 1);  // the calling thread participates
-    pool.run(misses.size(), [&](std::size_t j) { run_one(misses[j]); });
+  // One-shot fan-out: every thread, the calling one included, claims
+  // miss indices from one counter until none remain, then the helpers
+  // are joined.  Nothing outlives this call, so no state carries over
+  // into the next campaign.  An exception (a throwing progress sink)
+  // stops further claims and is rethrown here after the join.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mx;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    try {
+      for (std::size_t j = next++; j < misses.size(); j = next++) {
+        run_one(misses[j]);
+      }
+    } catch (...) {
+      next = misses.size();
+      std::lock_guard<std::mutex> lock(error_mx);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined on scope exit
+    for (unsigned t = 1; t < jobs; ++t) helpers.emplace_back(drain);
+    drain();
   }
+  if (error) std::rethrow_exception(error);
 
   finish(out, scenario, runs);
   return out;

@@ -255,7 +255,6 @@ Server::Server(const ServeOptions& options)
         beta_cycles * (512 + 8 * static_cast<sim::Cycle>(opts_.queue_depth));
   }
 
-  engine_ = sim::Engine::make(sim::EngineConfig{.num_threads = opts_.threads});
   memory_ = std::make_unique<core::CfmMemory>(cfg);
   if (!opts_.fault_plan.empty()) {
     fault_plan_ = sim::FaultPlan::parse(opts_.fault_plan);
@@ -268,13 +267,13 @@ Server::Server(const ServeOptions& options)
   if (injector_) {
     memory_->set_fault_injector(*injector_, opts_.spare_banks);
   }
-  const auto domain = engine_->allocate_domain();
-  memory_->attach(*engine_, domain);
+  const auto domain = engine_.allocate_domain();
+  memory_->attach(engine_, domain);
   driver_ = std::make_unique<ServeDriver>(
       "serve.driver", domain, *memory_, opts_.slo, opts_.queue_depth,
       /*hist_bucket_width=*/std::max<double>(1.0, beta_cycles / 8.0),
       /*hist_buckets=*/2048, opts_.seed ^ 0xd21f3ULL);
-  engine_->add(*driver_);
+  engine_.add(*driver_);
 
   if (opts_.telemetry) {
     if (opts_.telemetry_window == 0) opts_.telemetry_window = 8 * beta_cycles;
@@ -301,7 +300,7 @@ Server::Server(const ServeOptions& options)
         return static_cast<double>(inj->active_count(now));
       });
     }
-    engine_->add(*telemetry_);
+    engine_.add(*telemetry_);
   }
 }
 
@@ -312,19 +311,19 @@ sim::Cycle Server::beta() const noexcept {
 void Server::submit(const Request& request) {
   // Interactively fed requests must not arrive in the past: the open-loop
   // clock advances, but never behind the engine.
-  driver_->submit(request, std::max(arrivals_.next(), engine_->now()));
+  driver_->submit(request, std::max(arrivals_.next(), engine_.now()));
 }
 
 void Server::submit(const std::vector<Request>& requests) {
   for (const auto& req : requests) submit(req);
 }
 
-void Server::run(sim::Cycle cycles) { engine_->run_for(cycles); }
+void Server::run(sim::Cycle cycles) { engine_.run_for(cycles); }
 
 bool Server::drain() {
   const sim::Cycle cap = driver_->last_arrival() + opts_.drain_limit;
-  while (driver_->outstanding() != 0 && engine_->now() < cap) {
-    engine_->run_for(std::min(kDrainChunk, cap - engine_->now()));
+  while (driver_->outstanding() != 0 && engine_.now() < cap) {
+    engine_.run_for(std::min(kDrainChunk, cap - engine_.now()));
   }
   return driver_->outstanding() == 0;
 }
@@ -351,7 +350,7 @@ sim::Json Server::report_json() const {
   params["fault_plan"] = opts_.fault_plan;
   params["spare_banks"] = opts_.spare_banks;
   params["audit"] = opts_.audit;
-  // Execution provenance (threads, span, wall time) is deliberately
+  // Execution provenance (fast path, span, wall time) is deliberately
   // excluded: the same served stream must produce a byte-identical
   // report on every engine configuration.
 
@@ -453,12 +452,12 @@ sim::Json Server::report_json() const {
 
 sim::Json Server::live_stats_json() const {
   if (!telemetry_) return sim::Json();
-  return telemetry_->live_json(engine_->now());
+  return telemetry_->live_json(engine_.now());
 }
 
 std::string Server::prometheus_text() const {
   if (!telemetry_) return {};
-  return telemetry_->prometheus_text(engine_->now());
+  return telemetry_->prometheus_text(engine_.now());
 }
 
 }  // namespace cfm::serve

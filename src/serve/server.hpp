@@ -62,8 +62,6 @@ struct ServeOptions {
   sim::Cycle slo = 0;
   /// Admission-queue bound; 0 = 4 * processors.
   std::size_t queue_depth = 0;
-  /// Engine threads (1 = serial).  Never affects results, only wall time.
-  unsigned threads = 1;
   /// Extra cycles past the last arrival before drain() gives up and
   /// reports the remainder as unfinished; 0 = a generous bounded default.
   sim::Cycle drain_limit = 0;
@@ -202,7 +200,7 @@ class Server {
   explicit Server(const ServeOptions& options);
 
   [[nodiscard]] const ServeOptions& options() const noexcept { return opts_; }
-  [[nodiscard]] sim::Cycle now() const noexcept { return engine_->now(); }
+  [[nodiscard]] sim::Cycle now() const noexcept { return engine_.now(); }
   [[nodiscard]] const ServeStats& stats() const noexcept {
     return driver_->stats();
   }
@@ -249,7 +247,7 @@ class Server {
   sim::FaultPlan fault_plan_;
   std::optional<sim::FaultInjector> injector_;
   std::optional<sim::ConflictAuditor> audit_;
-  std::unique_ptr<sim::Engine> engine_;
+  sim::Engine engine_;
   std::unique_ptr<core::CfmMemory> memory_;
   std::unique_ptr<ServeDriver> driver_;
   std::unique_ptr<sim::TelemetrySampler> telemetry_;

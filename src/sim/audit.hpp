@@ -26,9 +26,10 @@
 //
 // Scopes: every watched unit registers a scope up front.  A scope's
 // mutable state is only ever touched from the tick domain that owns the
-// unit (the same single-writer discipline as StatShard), so the hot path
-// takes no locks and the auditor is safe under ParallelEngine as long as
-// scope registration happens before the run and aggregation after it.
+// unit (the same single-writer discipline as StatShard), so span fusion,
+// which reorders ticks across domains within a span, never changes what a
+// scope records, as long as scope registration happens before the run
+// and aggregation after it.
 //
 // A unit that claims conflict freedom registers a ConflictFree scope —
 // any detected contention there is a *violation* (the simulation broke

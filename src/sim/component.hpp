@@ -13,24 +13,23 @@
 // belongs to exactly one **tick domain**.  Domains capture the paper's
 // conflict-freedom argument structurally: the AT-space schedule makes each
 // CfmMemory module (or cluster, or cache partition) independent of every
-// other within a phase, so two components in *different* domains may tick
-// concurrently, while components in the *same* domain tick serially in
+// other within a phase, so the ticks of two components in *different*
+// domains commute, while components in the *same* domain tick in
 // registration order.  Cross-domain pieces — the global omega network, the
 // hierarchical controller, inter-cluster links — live in the shared domain
-// (`kSharedDomain`), which always runs serially on the driving thread
-// before the parallel domains of each phase.
+// (`kSharedDomain`), which runs before the independent domains of each
+// phase.
 //
-// The execution contract, identical for the serial and parallel engines:
+// The reference schedule:
 //
 //   for each phase (Issue, Network, Memory, Commit):
 //     1. shared-domain components, in registration order;
-//     2. every other domain, components in registration order within the
-//        domain — concurrently across domains under ParallelEngine,
-//        ascending domain id under the serial engine;
-//     3. barrier.
+//     2. every other domain in ascending domain id, components in
+//        registration order within the domain.
 //
-// Because domains are independent by construction, (2) commutes and the
-// parallel schedule is bit-exact with the serial one.
+// Because domains are independent by construction, the fast path may run
+// one domain's phase-interleaved schedule over a whole span of cycles
+// before the next domain's (span fusion) and stay bit-exact with (2).
 //
 // Batch-tick + quiescence (the fast-path contract, DESIGN.md §12): a
 // component may additionally
@@ -77,7 +76,7 @@ inline constexpr std::size_t kPhaseCount = 4;
   return "?";
 }
 
-/// Identifier of a tick domain.  Domain 0 is the shared (serial) domain;
+/// Identifier of a tick domain.  Domain 0 is the shared domain;
 /// independent domains are allocated by the engine.
 using DomainId = std::uint32_t;
 inline constexpr DomainId kSharedDomain = 0;
@@ -115,7 +114,8 @@ class Component {
   /// Called once per cycle for every phase in `phases()`.  Must touch only
   /// state owned by this component's domain (plus engine-provided
   /// domain-sharded statistics); shared-domain components may touch
-  /// anything because they never run concurrently with other work.
+  /// anything, because a fused span never contains a shared component's
+  /// tick unless it declared itself span_capable (see below).
   virtual void tick_phase(Phase phase, Cycle now) = 0;
 
   /// Batched execution: equivalent to

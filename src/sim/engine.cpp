@@ -28,15 +28,13 @@ Engine::Engine(const EngineConfig& cfg) : cfg_(cfg) {
 Json EngineProfile::to_json() const {
   Json out = Json::object();
   out["cycles"] = cycles;
-  out["threads"] = threads;
   Json phases_json = Json::object();
   for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
     const auto& p = phases[pi];
     phases_json[phase_name(static_cast<Phase>(pi))] =
         Json::object({{"total_us", cfm::sim::to_json(p.total_us)},
                       {"shared_us", cfm::sim::to_json(p.shared_us)},
-                      {"domains_us", cfm::sim::to_json(p.domains_us)},
-                      {"barrier_us", cfm::sim::to_json(p.barrier_us)}});
+                      {"domains_us", cfm::sim::to_json(p.domains_us)}});
   }
   out["phases"] = std::move(phases_json);
   Json domains_json = Json::object();
@@ -45,13 +43,12 @@ Json EngineProfile::to_json() const {
     domains_json[std::to_string(d)] = domain_us[d];
   }
   out["domains"] = std::move(domains_json);
-  out["utilization"] = cfm::sim::to_json(utilization);
   return out;
 }
 
 DomainId Engine::allocate_domain() {
   const DomainId d = next_domain_++;
-  (void)shard(d);  // materialize the shard eagerly: stable ref, no races
+  (void)shard(d);  // materialize the shard eagerly: stable reference
   return d;
 }
 
@@ -88,41 +85,22 @@ StatShard Engine::merged_stats() const {
 
 void Engine::rebuild_plans_if_dirty() {
   if (!plans_dirty_) return;
-  for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
-    const auto phase = static_cast<Phase>(pi);
-    auto& plan = plans_[pi];
-    plan.shared.clear();
-    std::map<DomainId, std::vector<Component*>> by_domain;
-    for (const auto& c : components_) {
-      if (!c->participates_in(phase)) continue;
-      if (c->domain() == kSharedDomain) {
-        plan.shared.push_back(c.get());
-      } else {
-        by_domain[c->domain()].push_back(c.get());
-      }
-    }
-    plan.groups.clear();
-    plan.groups.reserve(by_domain.size());
-    plan.group_domains.clear();
-    plan.group_domains.reserve(by_domain.size());
-    for (auto& [domain, group] : by_domain) {
-      plan.groups.push_back(std::move(group));
-      plan.group_domains.push_back(domain);
-    }
-  }
-
-  // Fast-path tables: the same registry, regrouped domain-major so a
-  // span can be dispatched as one job per domain, plus the flat entry
-  // table the jump scan polls.
+  // The registry grouped domain-major (span fusion runs one group at a
+  // time), plus the flat entry table the jump scan polls and the shared
+  // lists of the reference schedule.
   fast_plan_.groups.clear();
   fast_plan_.entries.clear();
   std::map<DomainId, FastPlan::DomainGroup> by_domain;
   for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
     const auto phase = static_cast<Phase>(pi);
+    plans_[pi].shared.clear();
     for (const auto& c : components_) {
       if (!c->participates_in(phase)) continue;
       fast_plan_.entries.emplace_back(c.get(), phase);
-      if (c->domain() == kSharedDomain) continue;
+      if (c->domain() == kSharedDomain) {
+        plans_[pi].shared.push_back(c.get());
+        continue;
+      }
       auto& g = by_domain[c->domain()];
       g.domain = c->domain();
       g.by_phase[pi].push_back(c.get());
@@ -141,6 +119,14 @@ void Engine::rebuild_plans_if_dirty() {
     }
     fast_plan_.groups.push_back(std::move(g));
   }
+  // The reference schedule's per-phase domain lists point into the
+  // groups, which are final now.
+  for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
+    plans_[pi].groups.clear();
+    for (const auto& g : fast_plan_.groups) {
+      if (!g.by_phase[pi].empty()) plans_[pi].groups.push_back(&g);
+    }
+  }
   plans_dirty_ = false;
 }
 
@@ -150,9 +136,7 @@ void Engine::enable_profiling(bool on) {
 }
 
 void Engine::reset_profile() {
-  const unsigned threads = profile_.threads;
   profile_ = EngineProfile{};
-  profile_.threads = threads;
   profile_epoch_ = ProfileClock::now();
   ensure_profile_domains();
 }
@@ -170,8 +154,8 @@ void Engine::step_serial() {
       const auto phase = static_cast<Phase>(pi);
       const auto& plan = plans_[pi];
       for (auto* c : plan.shared) c->tick_phase(phase, now_);
-      for (const auto& group : plan.groups) {
-        for (auto* c : group) c->tick_phase(phase, now_);
+      for (const auto* group : plan.groups) {
+        for (auto* c : group->by_phase[pi]) c->tick_phase(phase, now_);
       }
     }
     ++now_;
@@ -185,17 +169,16 @@ void Engine::step_serial() {
     const auto t0 = ProfileClock::now();
     for (auto* c : plan.shared) c->tick_phase(phase, now_);
     const auto t1 = ProfileClock::now();
-    for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    for (const auto* group : plan.groups) {
       const auto g0 = ProfileClock::now();
-      for (auto* c : plan.groups[g]) c->tick_phase(phase, now_);
+      for (auto* c : group->by_phase[pi]) c->tick_phase(phase, now_);
       const auto g1 = ProfileClock::now();
       const double us =
           std::chrono::duration<double, std::micro>(g1 - g0).count();
-      profile_.domain_us[plan.group_domains[g]] += us;
+      profile_.domain_us[group->domain] += us;
       if (chrome_) {
-        chrome_->complete("domain " + std::to_string(plan.group_domains[g]),
-                          "engine", profile_ts(g0), us,
-                          static_cast<int>(plan.group_domains[g]));
+        chrome_->complete("domain " + std::to_string(group->domain), "engine",
+                          profile_ts(g0), us, static_cast<int>(group->domain));
       }
     }
     const auto t2 = ProfileClock::now();
@@ -207,7 +190,6 @@ void Engine::step_serial() {
     times.shared_us.add(shared_us);
     times.domains_us.add(domains_us);
     times.total_us.add(shared_us + domains_us);
-    times.barrier_us.add(0.0);
     if (chrome_) {
       chrome_->complete(phase_name(phase), "engine", profile_ts(t0),
                         shared_us + domains_us, /*tid=*/0);
@@ -228,8 +210,8 @@ void Engine::step_cycle_fast() {
     for (auto* c : plan.shared) {
       if (c->next_event(phase) <= now_) c->tick_phase(phase, now_);
     }
-    for (const auto& group : plan.groups) {
-      for (auto* c : group) {
+    for (const auto* group : plan.groups) {
+      for (auto* c : group->by_phase[pi]) {
         if (c->next_event(phase) <= now_) c->tick_phase(phase, now_);
       }
     }
@@ -278,8 +260,9 @@ void Engine::run_group_span(const FastPlan::DomainGroup& group, Cycle begin,
   }
   // Multiple entries: per-cycle loop preserving the reference phase
   // order within the domain, with the same hint guards as
-  // step_cycle_fast.  Legal because nothing outside the domain runs
-  // concurrently with the span and shared state is frozen across it.
+  // step_cycle_fast.  Legal because domains share no state, so no other
+  // domain's ticks can interleave observably, and shared state is frozen
+  // across the span.
   for (Cycle t = begin; t < end; ++t) {
     for (std::size_t pi = 0; pi < kPhaseCount; ++pi) {
       const auto phase = static_cast<Phase>(pi);

@@ -18,10 +18,11 @@
 // null-check fast path as `TxnTracer`: a machine without an injector
 // attached pays one pointer compare per tick and nothing else.  All
 // queries except `drop_message` are const and touch only immutable plan
-// state, so per-domain components may consult one shared injector under
-// ParallelEngine; `drop_message` draws from the seeded RNG and must only
-// be called from shared-domain code (the cluster link, cache pending
-// queues) — the single-writer discipline every stat shard already obeys.
+// state, so per-domain components may consult one shared injector from a
+// fused span; `drop_message` draws from the seeded RNG and must only be
+// called from shared-domain code (the cluster link, cache pending
+// queues): span fusion reorders ticks across domains, so draws from two
+// domains would land in a different order than on the reference path.
 //
 // Plans parse from the `--fault-plan` bench flag, e.g.
 //

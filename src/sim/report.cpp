@@ -643,7 +643,6 @@ void MetricsRegistry::snapshot(Report& report) const {
 // ---- ChromeTrace ------------------------------------------------------
 
 void ChromeTrace::push(Json event) {
-  std::lock_guard<std::mutex> lk(mx_);
   events_.push_back(std::move(event));
 }
 
@@ -726,13 +725,9 @@ void ChromeTrace::attach(TraceLog& log, int tid) {
       });
 }
 
-std::size_t ChromeTrace::event_count() const {
-  std::lock_guard<std::mutex> lk(mx_);
-  return events_.size();
-}
+std::size_t ChromeTrace::event_count() const { return events_.size(); }
 
 Json ChromeTrace::to_json() const {
-  std::lock_guard<std::mutex> lk(mx_);
   return Json::array(events_);
 }
 

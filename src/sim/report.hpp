@@ -15,7 +15,6 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -245,8 +244,7 @@ class MetricsRegistry {
 // ---- Chrome trace sink ------------------------------------------------
 
 /// Collects chrome://tracing events ("Trace Event Format", JSON array
-/// flavour) and writes them for chrome://tracing / Perfetto.  Thread-safe
-/// appends: ParallelEngine domain jobs may emit concurrently.
+/// flavour) and writes them for chrome://tracing / Perfetto.
 ///
 /// Two layers feed it:
 ///  * TraceLog — `attach(log, tid)` installs a structured event sink that
@@ -288,7 +286,6 @@ class ChromeTrace {
  private:
   void push(Json event);
 
-  mutable std::mutex mx_;
   Json::Array events_;
 };
 

@@ -118,21 +118,12 @@ class CounterSet {
   std::map<std::string, std::uint64_t> counters_;
 };
 
-/// Alignment for per-domain hot state.  A fixed 64 bytes (the line size
-/// of every mainstream x86/ARM part) rather than
-/// std::hardware_destructive_interference_size, whose value is flagged by
-/// GCC as ABI-unstable across translation units under -Werror.
-inline constexpr std::size_t kCacheLineBytes = 64;
-
 /// One tick domain's statistics shard: a CounterSet plus named running
-/// stats.  Each domain writes only its own shard during the cycle — the
-/// hot path has no shared mutable state — and the engine merges shards
-/// (ascending domain id, so RunningStat::merge rounding is deterministic)
-/// at the commit barrier.  Cache-line aligned: shards of concurrently
-/// ticking domains are written every cycle from different worker threads,
-/// and letting two shards straddle one line makes those writes falsely
-/// shared.
-struct alignas(kCacheLineBytes) StatShard {
+/// stats.  Each domain writes only its own shard during the cycle, so a
+/// span-fused domain never touches another domain's statistics, and the
+/// engine merges shards in ascending domain id (so RunningStat::merge
+/// rounding is deterministic) when asked between steps.
+struct StatShard {
   CounterSet counters;
   std::map<std::string, RunningStat> running;
 

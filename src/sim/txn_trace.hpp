@@ -25,7 +25,8 @@
 // Units: each traced component registers a unit (like the auditor's
 // scopes and the engine's StatShards).  All mutable per-transaction state
 // lives in the unit, which is only touched from the tick domain that owns
-// the component, so tracing is lock-free and safe under ParallelEngine;
+// the component, so span fusion (which runs one domain's ticks for a
+// whole span before the next domain's) never reorders writes to a unit;
 // aggregate before the run or after it, never mid-step.
 #pragma once
 

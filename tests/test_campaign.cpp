@@ -379,13 +379,33 @@ TEST(Campaign, RunPointCoversEveryWorkloadKind) {
 }
 
 TEST(Campaign, DeterministicAcrossJobCounts) {
-  // Sharding must not leak into the report: 1 job and 4 jobs agree.
-  CampaignOptions serial;
-  serial.cache_dir.clear();
-  serial.jobs = 1;
-  CampaignOptions wide = serial;
-  wide.jobs = 4;
+  // Sharding must not leak into the report: 1 job agrees with 2, with 4
+  // (one per point) and with 16 (more jobs than the grid's 4 points).
+  // The calls run back to back, so no executor state may carry over from
+  // one campaign into the next.
+  CampaignOptions opts;
+  opts.cache_dir.clear();
+  opts.jobs = 1;
   const auto s = small_grid();
-  EXPECT_EQ(run_campaign(s, serial).report.dump(),
-            run_campaign(s, wide).report.dump());
+  const std::string serial = run_campaign(s, opts).report.dump();
+  for (int round = 0; round < 8; ++round) {
+    for (const unsigned jobs : {2u, 4u, 16u}) {
+      opts.jobs = jobs;
+      const auto result = run_campaign(s, opts);
+      EXPECT_EQ(result.executed, 4u) << "jobs=" << jobs;
+      EXPECT_EQ(result.report.dump(), serial) << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(Campaign, ThrowingProgressSinkPropagatesFromEveryJob) {
+  // An exception on any executing thread reaches the caller once every
+  // thread has been joined, instead of ending the process.
+  CampaignOptions opts;
+  opts.cache_dir.clear();
+  opts.jobs = 4;
+  opts.progress = [](const std::string&) {
+    throw std::runtime_error("progress sink closed");
+  };
+  EXPECT_THROW(run_campaign(small_grid(), opts), std::runtime_error);
 }

@@ -250,16 +250,12 @@ TEST(Serve, ReportByteIdenticalAcrossEngineConfigs) {
     std::string reference;
     {
       TuningGuard guard({.fast_path = false, .max_span = 1});
-      opts.threads = 1;
       reference = serve_report(opts, reqs);
     }
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
-        TuningGuard guard({.fast_path = true, .max_span = span});
-        opts.threads = threads;
-        EXPECT_EQ(serve_report(opts, reqs), reference)
-            << shape << " threads=" << threads << " span=" << span;
-      }
+    for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
+      TuningGuard guard({.fast_path = true, .max_span = span});
+      EXPECT_EQ(serve_report(opts, reqs), reference)
+          << shape << " span=" << span;
     }
   }
 }
@@ -307,17 +303,12 @@ TEST(Serve, TimeseriesByteIdenticalAcrossEnginesUnderFaults) {
   std::string reference;
   {
     TuningGuard guard({.fast_path = false, .max_span = 1});
-    opts.threads = 1;
     reference = serve_report(opts, reqs);
   }
   EXPECT_NE(reference.find("\"timeseries\""), std::string::npos);
-  for (const unsigned threads : {2u, 4u}) {
-    for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
-      TuningGuard guard({.fast_path = true, .max_span = span});
-      opts.threads = threads;
-      EXPECT_EQ(serve_report(opts, reqs), reference)
-          << "threads=" << threads << " span=" << span;
-    }
+  for (const sim::Cycle span : {sim::Cycle{1}, sim::Cycle{64}}) {
+    TuningGuard guard({.fast_path = true, .max_span = span});
+    EXPECT_EQ(serve_report(opts, reqs), reference) << "span=" << span;
   }
 }
 
