@@ -71,8 +71,9 @@ CaseResult run_case(const std::string& plan_text, std::uint32_t spares,
 
   const auto domain = engine.allocate_domain();
   memory.attach(engine, domain);
-  workload::AccessDriver driver("fault.driver", domain, memory, kRate,
-                                /*seed=*/1234, engine.shard(domain));
+  workload::ClosedLoopDriver<core::CfmMemory> driver(
+      "fault.driver", domain, memory, /*seed=*/1234,
+      workload::ClosedLoop(kRate, engine.shard(domain)));
   engine.add(driver);
 
   // Optional flight recorder: the degradation story as a time series —
@@ -123,8 +124,8 @@ CaseResult run_case(const std::string& plan_text, std::uint32_t spares,
   }
 
   CaseResult out;
-  out.completed = driver.completed();
-  out.failed = driver.failed();
+  out.completed = driver.source().completed();
+  out.failed = driver.source().failed();
   out.unfinished = driver.in_flight();
   const auto& shard = engine.shard(domain);
   if (const auto it = shard.running.find("access_time");

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,8 +160,9 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   core::CfmMemory mem(core::CfmConfig::make(16));
   const auto domain = engine.allocate_domain();
   mem.attach(engine, domain);
-  workload::AccessDriver driver("bench.telemetry_driver", domain, mem, 1.0,
-                                /*seed=*/77, engine.shard(domain));
+  workload::ClosedLoopDriver<core::CfmMemory> driver(
+      "bench.telemetry_driver", domain, mem, /*seed=*/77,
+      workload::ClosedLoop(1.0, engine.shard(domain)));
   engine.add(driver);
   std::unique_ptr<sim::TelemetrySampler> sampler;
   if (telemetry) {
@@ -232,29 +234,21 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off --json-out before google-benchmark sees the argument list
+  // Peel off our own flags before google-benchmark sees the argument list
   // (it rejects flags it does not know).
   std::vector<char*> passthrough;
   cfm::bench::Options opts;
+  std::optional<std::uint64_t> fast_path;
+  std::optional<std::uint64_t> max_span;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-out" && i + 1 < argc) {
-      opts.json_out = argv[++i];
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      opts.json_out = arg.substr(sizeof("--json-out=") - 1);
-    } else if (arg == "--fast-path" && i + 1 < argc) {
-      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
-      t.fast_path = std::string(argv[++i]) != "0";
-      cfm::sim::set_engine_tuning(t);
-    } else if (arg == "--max-span" && i + 1 < argc) {
-      cfm::sim::EngineTuning t = cfm::sim::engine_tuning();
-      t.max_span = static_cast<cfm::sim::Cycle>(std::stoull(argv[++i]));
-      cfm::sim::set_engine_tuning(t);
-    } else {
+    if (!cfm::bench::value_flag(argc, argv, i, "--json-out", opts.json_out) &&
+        !cfm::bench::uint_flag(argc, argv, i, "--fast-path", fast_path) &&
+        !cfm::bench::uint_flag(argc, argv, i, "--max-span", max_span)) {
       passthrough.push_back(argv[i]);
     }
   }
+  cfm::bench::set_tuning(fast_path, max_span);
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc,

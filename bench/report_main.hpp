@@ -46,65 +46,77 @@ struct Options {
   std::optional<std::uint64_t> seed;
 };
 
-/// Parses `--json-out <path>` / `--json-out=<path>`, `--audit`,
-/// `--txn-trace <path>` / `--txn-trace=<path>`, `--fault-plan <spec>` /
-/// `--fault-plan=<spec>`, and `--seed <u64>` / `--seed=<u64>`.  Unknown
-/// arguments print usage and exit(2) so a typo cannot silently drop the
-/// report; a value flag given as the last argument with no value is
-/// diagnosed explicitly ("missing value for --json-out") instead of
-/// falling through to the generic usage message.  The fault-plan spec
-/// itself is validated by the consuming bench (sim::FaultPlan::parse
-/// throws std::invalid_argument; benches exit(2) on a malformed spec).
-inline Options parse_options(int argc, char** argv) {
-  Options opts;
-  // Consumes `--flag <value>` / `--flag=<value>`; exits with a pointed
-  // diagnostic when the value is missing.
-  const auto value_flag = [&](int& i, const std::string& arg,
-                              const char* flag,
-                              std::string& out) -> bool {
-    if (arg == flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      out = argv[++i];
-      return true;
-    }
-    const std::string prefix = std::string(flag) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-      out = arg.substr(prefix.size());
-      return true;
-    }
-    return false;
-  };
-  // Numeric flag helper sharing value_flag's spelling rules.
-  const auto uint_flag = [&](int& i, const std::string& arg, const char* flag,
-                             std::optional<std::uint64_t>& out) -> bool {
-    std::string text;
-    if (!value_flag(i, arg, flag, text)) return false;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0') {
-      std::fprintf(stderr, "%s: %s wants an unsigned integer, got '%s'\n",
-                   argv[0], flag, text.c_str());
+/// Consumes `--flag <value>` / `--flag=<value>` at argv[i] into `out` and
+/// returns true; false when argv[i] is another flag.  A value flag given
+/// as the last argument is diagnosed explicitly ("missing value for
+/// --json-out") and exits 2.
+inline bool value_flag(int argc, char** argv, int& i, const char* flag,
+                       std::string& out) {
+  const std::string arg = argv[i];
+  if (arg == flag) {
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
       std::exit(2);
     }
-    out = static_cast<std::uint64_t>(v);
+    out = argv[++i];
     return true;
-  };
+  }
+  const std::string prefix = std::string(flag) + "=";
+  if (arg.rfind(prefix, 0) != 0) return false;
+  out = arg.substr(prefix.size());
+  return true;
+}
+
+/// value_flag for an unsigned integer; a malformed value exits 2.
+inline bool uint_flag(int argc, char** argv, int& i, const char* flag,
+                      std::optional<std::uint64_t>& out) {
+  std::string text;
+  if (!value_flag(argc, argv, i, flag, text)) return false;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  if (end == text.c_str() || *end != '\0') {
+    std::fprintf(stderr, "%s: %s wants an unsigned integer, got '%s'\n",
+                 argv[0], flag, text.c_str());
+    std::exit(2);
+  }
+  out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+/// Installs `--fast-path` / `--max-span` as the process-wide engine tuning
+/// (a no-op when neither flag was given).
+inline void set_tuning(const std::optional<std::uint64_t>& fast_path,
+                       const std::optional<std::uint64_t>& max_span) {
+  if (!fast_path.has_value() && !max_span.has_value()) return;
+  sim::EngineTuning tuning;
+  if (fast_path.has_value()) tuning.fast_path = *fast_path != 0;
+  if (max_span.has_value()) {
+    tuning.max_span = static_cast<sim::Cycle>(*max_span);
+  }
+  sim::set_engine_tuning(tuning);
+}
+
+/// Parses `--json-out <path>`, `--audit`, `--txn-trace <path>`,
+/// `--fault-plan <spec>`, `--seed <u64>`, `--fast-path <0|1>` and
+/// `--max-span <N>` (value flags also as `--flag=<value>`).  Unknown
+/// arguments print usage and exit(2) so a typo cannot silently drop the
+/// report.  The fault-plan spec itself is validated by the consuming bench
+/// (sim::FaultPlan::parse throws std::invalid_argument; benches exit(2) on
+/// a malformed spec).
+inline Options parse_options(int argc, char** argv) {
+  Options opts;
   std::optional<std::uint64_t> fast_path;
   std::optional<std::uint64_t> max_span;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (value_flag(i, arg, "--json-out", opts.json_out) ||
-        value_flag(i, arg, "--txn-trace", opts.txn_trace_out) ||
-        value_flag(i, arg, "--fault-plan", opts.fault_plan) ||
-        uint_flag(i, arg, "--seed", opts.seed) ||
-        uint_flag(i, arg, "--fast-path", fast_path) ||
-        uint_flag(i, arg, "--max-span", max_span)) {
+    if (value_flag(argc, argv, i, "--json-out", opts.json_out) ||
+        value_flag(argc, argv, i, "--txn-trace", opts.txn_trace_out) ||
+        value_flag(argc, argv, i, "--fault-plan", opts.fault_plan) ||
+        uint_flag(argc, argv, i, "--seed", opts.seed) ||
+        uint_flag(argc, argv, i, "--fast-path", fast_path) ||
+        uint_flag(argc, argv, i, "--max-span", max_span)) {
       continue;
     }
-    if (arg == "--audit") {
+    if (std::string(argv[i]) == "--audit") {
       opts.audit = true;
     } else {
       std::fprintf(stderr,
@@ -115,14 +127,7 @@ inline Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (fast_path.has_value() || max_span.has_value()) {
-    sim::EngineTuning tuning;
-    if (fast_path.has_value()) tuning.fast_path = *fast_path != 0;
-    if (max_span.has_value()) {
-      tuning.max_span = static_cast<sim::Cycle>(*max_span);
-    }
-    sim::set_engine_tuning(tuning);
-  }
+  set_tuning(fast_path, max_span);
   return opts;
 }
 

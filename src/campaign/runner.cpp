@@ -1,14 +1,15 @@
 #include "campaign/runner.hpp"
 
+#include <concepts>
 #include <optional>
 #include <string>
 
 #include "cfm/config.hpp"
 #include "mem/coded/code_descriptor.hpp"
+#include "mem/coded/coded_memory.hpp"
 #include "sim/audit.hpp"
 #include "sim/fault.hpp"
 #include "workload/access_gen.hpp"
-#include "workload/coded_gen.hpp"
 #include "workload/lock_workload.hpp"
 #include "workload/trace.hpp"
 
@@ -44,26 +45,35 @@ Json efficiency_metrics(const workload::EfficiencyResult& r) {
   return m;
 }
 
-Json run_cfm(const PointSpec& point) {
-  const auto n = static_cast<std::uint32_t>(point.param_u64("n"));
-  const auto c = static_cast<std::uint32_t>(point.param_u64("c"));
-  const double rate = point.param_double("rate");
-  const auto cycles = point.param_u64("cycles");
+/// One closed-loop point on a fresh `Memory` built from `cfg`: wires the
+/// point's auditor, fault plan and telemetry hooks, runs it, and returns
+/// the result document.  `add_metrics(metrics, memory)` appends the
+/// family's own metrics, read from the memory after the run.
+template <core::BlockMemory Memory, class Config, class AddMetrics>
+Json run_closed_loop(const PointSpec& point, const Config& cfg,
+                     double write_fraction, AddMetrics&& add_metrics) {
   const std::uint64_t seed = effective_seed(point);
-
   sim::ConflictAuditor auditor;
-  sim::CounterSet counters;
-  sim::RunningStat access_time;
   std::optional<sim::FaultInjector> injector;
-  workload::CfmRunHooks hooks;
-  if (point.audit) hooks.auditor = &auditor;
   if (!point.fault_plan.empty()) {
     injector.emplace(sim::FaultPlan::parse(point.fault_plan), seed);
-    hooks.injector = &*injector;
-    if (point.has_param("spares")) {
-      hooks.spare_banks = static_cast<std::uint32_t>(point.param_u64("spares"));
+  }
+  sim::Engine engine;
+  Memory memory(cfg);
+  if (point.audit) memory.set_audit(auditor);
+  if (injector) {
+    if constexpr (std::same_as<Memory, core::CfmMemory>) {
+      const auto spares = point.has_param("spares") ? point.param_u64("spares")
+                                                    : std::uint64_t{1};
+      memory.set_fault_injector(*injector,
+                                static_cast<std::uint32_t>(spares));
+    } else {
+      memory.set_fault_injector(*injector);
     }
   }
+  sim::CounterSet counters;
+  sim::RunningStat access_time;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
   hooks.access_time_out = &access_time;
   Json timeseries;
@@ -76,18 +86,30 @@ Json run_cfm(const PointSpec& point) {
     hooks.timeseries_out = &timeseries;
   }
 
-  const auto r =
-      workload::measure_cfm_instrumented(n, c, rate, cycles, seed, hooks);
+  const auto r = workload::measure_closed_loop(
+      engine, memory, point.param_double("rate"), write_fraction,
+      point.param_u64("cycles"), seed, hooks);
 
   Json out = Json::object();
   out["metrics"] = efficiency_metrics(r);
+  add_metrics(out["metrics"], memory);
   out["counters"] = sim::to_json(counters);
   Json stats = Json::object();
   stats["access_time"] = sim::to_json(access_time);
   out["stats"] = std::move(stats);
-  if (hooks.timeseries_out != nullptr) out["timeseries"] = std::move(timeseries);
+  if (hooks.timeseries_out != nullptr) {
+    out["timeseries"] = std::move(timeseries);
+  }
   if (point.audit) out["audit"] = audit_section(auditor);
   return out;
+}
+
+Json run_cfm(const PointSpec& point) {
+  return run_closed_loop<core::CfmMemory>(
+      point,
+      core::CfmConfig::make(static_cast<std::uint32_t>(point.param_u64("n")),
+                            static_cast<std::uint32_t>(point.param_u64("c"))),
+      0.0, [](Json&, const core::CfmMemory&) {});
 }
 
 Json run_conventional(const PointSpec& point) {
@@ -180,73 +202,35 @@ Json run_coded(const PointSpec& point) {
     cfg.log_capacity =
         static_cast<std::uint32_t>(point.param_u64("log_capacity"));
   }
-  const double rate = point.param_double("rate");
   const double write_fraction = point.has_param("write_fraction")
                                     ? point.param_double("write_fraction")
                                     : 0.0;
-  const auto cycles = point.param_u64("cycles");
-  const std::uint64_t seed = effective_seed(point);
-
-  sim::ConflictAuditor auditor;
-  sim::CounterSet counters;
-  sim::RunningStat access_time;
-  std::optional<sim::FaultInjector> injector;
-  workload::CodedRunHooks hooks;
-  if (point.audit) hooks.auditor = &auditor;
-  if (!point.fault_plan.empty()) {
-    injector.emplace(sim::FaultPlan::parse(point.fault_plan), seed);
-    hooks.injector = &*injector;
-  }
-  hooks.counters_out = &counters;
-  hooks.access_time_out = &access_time;
-  std::uint32_t decode_fanout_max = 0;
-  std::uint64_t pending_parity = 0;
-  hooks.decode_fanout_max_out = &decode_fanout_max;
-  hooks.pending_parity_out = &pending_parity;
-  Json timeseries;
-  if (point.has_param("telemetry_window")) {
-    hooks.telemetry_window = point.param_u64("telemetry_window");
-    if (point.has_param("telemetry_capacity")) {
-      hooks.telemetry_capacity =
-          static_cast<std::size_t>(point.param_u64("telemetry_capacity"));
-    }
-    hooks.timeseries_out = &timeseries;
-  }
-
-  const auto r = workload::measure_coded_instrumented(cfg, rate,
-                                                      write_fraction, cycles,
-                                                      seed, hooks);
-
-  Json metrics = efficiency_metrics(r);
-  // Coded-specific headline metrics, derived from the memory counters so
-  // the validator can re-check the arithmetic against them.
-  const auto decoded =
-      counters.get("word_reads_decoded") + counters.get("word_writes_decoded");
-  const auto writes =
-      counters.get("word_writes_direct") + counters.get("word_writes_decoded");
-  const auto served = counters.get("word_reads_direct") +
-                      counters.get("word_reads_decoded") + writes;
-  metrics["decode_rate"] =
-      served == 0 ? 0.0
-                  : static_cast<double>(decoded) / static_cast<double>(served);
-  metrics["parity_amplification"] =
-      writes == 0 ? 0.0
-                  : static_cast<double>(counters.get("parity_updates")) /
-                        static_cast<double>(writes);
-  metrics["decode_fanout_max"] = decode_fanout_max;
-  metrics["pending_parity_end"] = pending_parity;
-  metrics["banks_provisioned"] = cfg.banks_provisioned();
-  metrics["banks_required_cfm"] = cfg.banks_required_cfm();
-
-  Json out = Json::object();
-  out["metrics"] = std::move(metrics);
-  out["counters"] = sim::to_json(counters);
-  Json stats = Json::object();
-  stats["access_time"] = sim::to_json(access_time);
-  out["stats"] = std::move(stats);
-  if (hooks.timeseries_out != nullptr) out["timeseries"] = std::move(timeseries);
-  if (point.audit) out["audit"] = audit_section(auditor);
-  return out;
+  return run_closed_loop<mem::coded::CodedMemory>(
+      point, cfg, write_fraction,
+      [&cfg](Json& metrics, const mem::coded::CodedMemory& memory) {
+        // Coded-specific headline metrics, derived from the memory
+        // counters so the validator can re-check the arithmetic.
+        const auto& counters = memory.counters();
+        const auto decoded = counters.get("word_reads_decoded") +
+                             counters.get("word_writes_decoded");
+        const auto writes = counters.get("word_writes_direct") +
+                            counters.get("word_writes_decoded");
+        const auto served = counters.get("word_reads_direct") +
+                            counters.get("word_reads_decoded") + writes;
+        metrics["decode_rate"] =
+            served == 0 ? 0.0
+                        : static_cast<double>(decoded) /
+                              static_cast<double>(served);
+        metrics["parity_amplification"] =
+            writes == 0
+                ? 0.0
+                : static_cast<double>(counters.get("parity_updates")) /
+                      static_cast<double>(writes);
+        metrics["decode_fanout_max"] = memory.decode_fanout_max();
+        metrics["pending_parity_end"] = memory.pending_parity();
+        metrics["banks_provisioned"] = cfg.banks_provisioned();
+        metrics["banks_required_cfm"] = cfg.banks_required_cfm();
+      });
 }
 
 Json run_tradeoff(const PointSpec& point) {

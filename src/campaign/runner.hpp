@@ -2,7 +2,7 @@
 //
 // This is the single machine-construction path benches and campaigns
 // share: every workload kind dispatches onto the existing workload entry
-// points (measure_cfm_instrumented / measure_conventional /
+// points (measure_closed_loop / measure_conventional /
 // measure_partial_cfm / replay_on_cfm_instrumented / run_lock_farm_* /
 // enumerate_tradeoffs' row arithmetic) rather than growing a parallel
 // builder.  run_point is a pure function of the PointSpec — no global

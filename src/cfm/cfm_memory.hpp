@@ -31,6 +31,7 @@
 #include "cfm/at_space.hpp"
 #include "cfm/att.hpp"
 #include "cfm/block_engine.hpp"
+#include "cfm/block_memory.hpp"
 #include "cfm/config.hpp"
 #include "mem/module.hpp"
 #include "sim/audit.hpp"
@@ -52,6 +53,8 @@ class CfmMemory {
                      ConsistencyPolicy policy = ConsistencyPolicy::EarliestWins);
 
   [[nodiscard]] const CfmConfig& config() const noexcept { return cfg_; }
+  /// Words per block: one per bank.
+  [[nodiscard]] std::uint32_t block_words() const noexcept { return cfg_.banks; }
   [[nodiscard]] const AtSpace& at_space() const noexcept { return at_; }
   [[nodiscard]] mem::Module& module() noexcept { return module_; }
   [[nodiscard]] ConsistencyPolicy policy() const noexcept { return policy_; }
@@ -255,5 +258,7 @@ class CfmMemory {
   sim::Cycle fault_timeout_ = 0;    ///< bounded-latency abort threshold
   sim::RunningStat recovery_latency_;
 };
+
+static_assert(BlockMemory<CfmMemory>);
 
 }  // namespace cfm::core

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "cfm/block_engine.hpp"
+#include "cfm/block_memory.hpp"
 #include "mem/backing_store.hpp"
 #include "mem/bank.hpp"
 #include "mem/coded/code_descriptor.hpp"
@@ -96,6 +97,10 @@ class CodedMemory {
   [[nodiscard]] const CodedConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const CodeDescriptor& descriptor() const noexcept {
     return cfg_.code;
+  }
+  /// Words per block: one per data bank.
+  [[nodiscard]] std::uint32_t block_words() const noexcept {
+    return cfg_.code.data_banks;
   }
 
   [[nodiscard]] bool idle(sim::ProcessorId p) const {
@@ -228,5 +233,7 @@ class CodedMemory {
   sim::Cycle fault_timeout_ = 0;
   bool was_paused_ = false;
 };
+
+static_assert(core::BlockMemory<CodedMemory>);
 
 }  // namespace cfm::mem::coded

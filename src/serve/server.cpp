@@ -28,91 +28,20 @@ constexpr sim::Cycle kDrainChunk = 4096;
 
 // ---------------------------------------------------------- ServeDriver --
 
-ServeDriver::ServeDriver(std::string name, sim::DomainId domain,
-                         core::CfmMemory& memory, sim::Cycle slo,
-                         std::size_t queue_depth, double hist_bucket_width,
-                         std::size_t hist_buckets, std::uint64_t seed)
-    : sim::Component(std::move(name), domain, sim::phase_bit(sim::Phase::Issue)),
-      mem_(memory),
-      slo_(slo),
+ServeDriver::ServeDriver(sim::Cycle slo, std::size_t queue_depth,
+                         double hist_bucket_width, std::size_t hist_buckets)
+    : slo_(slo),
       queue_depth_(queue_depth),
-      rng_(seed),
-      slots_(memory.config().processors),
       latency_hist_(hist_bucket_width, hist_buckets) {
   if (queue_depth_ == 0) {
     throw std::invalid_argument("serve: queue depth must be > 0");
   }
 }
 
-std::uint64_t ServeDriver::outstanding() const noexcept {
-  return arrivals_.size() + in_service();
-}
-
-std::uint64_t ServeDriver::in_service() const noexcept {
-  std::uint64_t n = queue_.size();
-  for (const auto& slot : slots_) {
-    if (slot.op != core::CfmMemory::kNoOp || slot.pending_retry) ++n;
-  }
-  return n;
-}
-
 void ServeDriver::submit(const Request& req, sim::Cycle arrival) {
   arrival = std::max(arrival, last_arrival_);
   arrivals_.push_back(Pending{req, arrival});
   last_arrival_ = arrival;
-  // A quiescent driver just gained future work; the next tick recomputes
-  // the precise wake cycle.
-  set_next_event(sim::Component::kAlways);
-}
-
-void ServeDriver::tick_phase(sim::Phase, sim::Cycle now) {
-  harvest(now);
-  admit(now);
-  issue_ready(now);
-  publish_wake(now);
-}
-
-void ServeDriver::harvest(sim::Cycle now) {
-  for (auto& slot : slots_) {
-    if (slot.op == core::CfmMemory::kNoOp) continue;
-    auto result = mem_.take_result(slot.op);
-    if (!result) continue;
-    last_resolved_ = std::max(last_resolved_, result->completed);
-    if (result->status == core::OpStatus::Completed) {
-      const auto latency =
-          static_cast<double>(result->completed - slot.arrival);
-      stats_.latency.add(latency);
-      latency_hist_.add(latency);
-      latency_log2_.add(latency);
-      ++stats_.completed;
-      if (result->completed - slot.arrival <= slo_) ++stats_.within_slo;
-      if (slot.req.kind == RequestKind::Lock) {
-        // The swap's data is the pre-image: word 0 == 0 means the
-        // test-and-set won the lock.
-        if (!result->data.empty() && result->data[0] == 0) {
-          ++stats_.lock_acquired;
-        } else {
-          ++stats_.lock_busy;
-        }
-      }
-      slot.op = core::CfmMemory::kNoOp;
-      slot.retries = 0;
-    } else if (slot.retries < kMaxRetries) {
-      // Aborted off a faulted unit (bounded-latency path): retry the
-      // same request after a jittered backoff; latency keeps accruing
-      // from the original arrival.
-      ++slot.retries;
-      ++stats_.retried;
-      slot.op = core::CfmMemory::kNoOp;
-      slot.pending_retry = true;
-      slot.retry_at =
-          now + 1 + rng_.below(2 * mem_.config().block_access_time());
-    } else {
-      ++stats_.failed;
-      slot.op = core::CfmMemory::kNoOp;
-      slot.retries = 0;
-    }
-  }
 }
 
 void ServeDriver::admit(sim::Cycle now) {
@@ -131,80 +60,84 @@ void ServeDriver::admit(sim::Cycle now) {
   }
 }
 
-void ServeDriver::issue_ready(sim::Cycle now) {
-  for (std::uint32_t p = 0; p < slots_.size(); ++p) {
-    auto& slot = slots_[p];
-    if (slot.op != core::CfmMemory::kNoOp) continue;
-    if (slot.pending_retry) {
-      if (slot.retry_at <= now) {
-        slot.pending_retry = false;
-        start(now, p);
-      }
-      continue;
-    }
-    if (queue_.empty()) continue;
-    slot.req = queue_.front().req;
-    slot.arrival = queue_.front().arrival;
-    slot.retries = 0;
-    queue_.pop_front();
-    stats_.queue_wait.add(static_cast<double>(now - slot.arrival));
-    start(now, p);
-  }
+bool ServeDriver::next(core::CfmMemory&, sim::Cycle now, sim::ProcessorId,
+                       Slot& slot, sim::Rng&) {
+  if (queue_.empty()) return false;
+  const auto& head = queue_.front();
+  slot.kind = head.req.kind;
+  slot.block = head.req.block;
+  slot.issued = head.arrival;  // latency counts the queue wait
+  queue_.pop_front();
+  stats_.queue_wait.add(static_cast<double>(now - slot.issued));
+  return true;
 }
 
-void ServeDriver::start(sim::Cycle now, std::uint32_t p) {
-  auto& slot = slots_[p];
-  slot.issued = now;
-  switch (slot.req.kind) {
+core::CfmMemory::OpToken ServeDriver::start(core::CfmMemory& mem,
+                                            sim::Cycle now, sim::ProcessorId p,
+                                            const Slot& slot) {
+  switch (slot.kind) {
     case RequestKind::Read:
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Read, slot.req.block);
-      break;
-    case RequestKind::Write: {
-      const auto payload = write_payload(slot.req.block, mem_.config().banks);
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Write, slot.req.block,
-                           payload);
-      break;
-    }
+      break;  // issued below
+    case RequestKind::Write:
+      return mem.issue(now, p, core::BlockOpKind::Write, slot.block,
+                       write_payload(slot.block, mem.block_words()));
     case RequestKind::Swap:
       // Fetch-and-increment on word 0 — the canonical atomic counter.
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Swap, slot.req.block, {},
-                           [](const std::vector<sim::Word>& read) {
-                             auto out = read;
-                             if (!out.empty()) ++out[0];
-                             return out;
-                           });
-      break;
+      return mem.issue(now, p, core::BlockOpKind::Swap, slot.block, {},
+                       [](const std::vector<sim::Word>& read) {
+                         auto out = read;
+                         if (!out.empty()) ++out[0];
+                         return out;
+                       });
     case RequestKind::Lock:
       // Test-and-set on word 0 via the atomic swap (§4.2.2).
-      slot.op = mem_.issue(now, p, core::BlockOpKind::Swap, slot.req.block, {},
-                           [](const std::vector<sim::Word>& read) {
-                             auto out = read;
-                             if (!out.empty()) out[0] = 1;
-                             return out;
-                           });
-      break;
+      return mem.issue(now, p, core::BlockOpKind::Swap, slot.block, {},
+                       [](const std::vector<sim::Word>& read) {
+                         auto out = read;
+                         if (!out.empty()) out[0] = 1;
+                         return out;
+                       });
   }
+  return mem.issue(now, p, core::BlockOpKind::Read, slot.block);
 }
 
-void ServeDriver::publish_wake(sim::Cycle now) {
-  sim::Cycle wake = sim::kNeverCycle;
-  bool any_inflight = false;
-  for (const auto& slot : slots_) {
-    if (slot.op != core::CfmMemory::kNoOp) {
-      any_inflight = true;
-    } else if (slot.pending_retry) {
-      wake = std::min(wake, slot.retry_at);
+void ServeDriver::resolved(const Slot& slot, const core::BlockOpResult& r,
+                           workload::Outcome outcome) {
+  last_resolved_ = std::max(last_resolved_, r.completed);
+  if (outcome == workload::Outcome::Retried) {
+    ++stats_.retried;
+    return;
+  }
+  if (outcome == workload::Outcome::Failed) {
+    ++stats_.failed;
+    return;
+  }
+  const auto latency = static_cast<double>(r.completed - slot.issued);
+  stats_.latency.add(latency);
+  latency_hist_.add(latency);
+  latency_log2_.add(latency);
+  ++stats_.completed;
+  if (r.completed - slot.issued <= slo_) ++stats_.within_slo;
+  if (slot.kind == RequestKind::Lock) {
+    // The swap's data is the pre-image: word 0 == 0 means the
+    // test-and-set won the lock.
+    if (!r.data.empty() && r.data[0] == 0) {
+      ++stats_.lock_acquired;
+    } else {
+      ++stats_.lock_busy;
     }
   }
-  if (!arrivals_.empty()) wake = std::min(wake, arrivals_.front().arrival);
-  // A non-empty queue with every port busy resolves via completions; the
-  // memory's hint covers that.  A non-empty queue with a free port cannot
-  // survive issue_ready, so no extra wake source is needed for it.
-  if (any_inflight) wake = std::min(wake, mem_.next_completion_hint(now));
-  set_next_event(wake);
 }
 
-void ServeDriver::register_telemetry(sim::TelemetrySampler& sampler) const {
+sim::Cycle ServeDriver::wake(bool) const noexcept {
+  // A non-empty queue with every port busy resolves via completions; the
+  // memory's hint covers that.  A non-empty queue with a free port cannot
+  // survive the tick, so only the next arrival is a wake source here.
+  return arrivals_.empty() ? sim::kNeverCycle : arrivals_.front().arrival;
+}
+
+void ServeDriver::register_telemetry(sim::TelemetrySampler& sampler,
+                                     const ServePorts& ports) const {
   // Registration order fixes the series' column order; the recovery/
   // anomaly configs in report_json refer to these names.
   sampler.add_counter("offered", [this] { return stats_.offered; });
@@ -217,15 +150,18 @@ void ServeDriver::register_telemetry(sim::TelemetrySampler& sampler) const {
   sampler.add_gauge("queue_depth", [this](sim::Cycle) {
     return static_cast<double>(queued());
   });
-  sampler.add_gauge("ports_busy", [this](sim::Cycle) {
-    return static_cast<double>(busy_ports());
+  sampler.add_gauge("ports_busy", [&ports](sim::Cycle) {
+    return static_cast<double>(ports.busy_ports());
   });
-  sampler.add_gauge("in_service", [this](sim::Cycle) {
-    return static_cast<double>(in_service());
+  // Arrived-but-unresolved requests: queued or occupying a port.  Future
+  // arrivals are excluded — their count reflects the operator's feeding
+  // cadence, not simulated state.
+  sampler.add_gauge("in_service", [this, &ports](sim::Cycle) {
+    return static_cast<double>(queued() + ports.in_flight());
   });
-  sampler.add_gauge("utilization", [this](sim::Cycle) {
-    return static_cast<double>(busy_ports()) /
-           static_cast<double>(slots_.size());
+  sampler.add_gauge("utilization", [&ports](sim::Cycle) {
+    return static_cast<double>(ports.busy_ports()) /
+           static_cast<double>(ports.ports());
   });
   sampler.add_histogram("latency", &latency_log2_);
 }
@@ -249,8 +185,8 @@ Server::Server(const ServeOptions& options)
   if (opts_.queue_depth == 0) opts_.queue_depth = 4 * opts_.processors;
   if (opts_.drain_limit == 0) {
     // Bounded by construction: every admitted request resolves within a
-    // bounded number of fault windows (kMaxRetries x the memory's 8-beta
-    // watchdog), and the bounded queue caps the backlog.
+    // bounded number of fault windows (workload::kMaxRetries x the
+    // memory's 8-beta watchdog), and the bounded queue caps the backlog.
     opts_.drain_limit =
         beta_cycles * (512 + 8 * static_cast<sim::Cycle>(opts_.queue_depth));
   }
@@ -269,10 +205,12 @@ Server::Server(const ServeOptions& options)
   }
   const auto domain = engine_.allocate_domain();
   memory_->attach(engine_, domain);
-  driver_ = std::make_unique<ServeDriver>(
-      "serve.driver", domain, *memory_, opts_.slo, opts_.queue_depth,
-      /*hist_bucket_width=*/std::max<double>(1.0, beta_cycles / 8.0),
-      /*hist_buckets=*/2048, opts_.seed ^ 0xd21f3ULL);
+  driver_ = std::make_unique<ServePorts>(
+      "serve.driver", domain, *memory_, opts_.seed ^ 0xd21f3ULL,
+      ServeDriver(
+          opts_.slo, opts_.queue_depth,
+          /*hist_bucket_width=*/std::max<double>(1.0, beta_cycles / 8.0),
+          /*hist_buckets=*/2048));
   engine_.add(*driver_);
 
   if (opts_.telemetry) {
@@ -282,7 +220,7 @@ Server::Server(const ServeOptions& options)
         opts_.telemetry_capacity != 0
             ? opts_.telemetry_capacity
             : sim::TelemetrySampler::kDefaultCapacity);
-    driver_->register_telemetry(*telemetry_);
+    driver_->source().register_telemetry(*telemetry_, *driver_);
     auto* mem = memory_.get();
     for (const char* name :
          {"ops_completed", "fault_restarts", "bank_failures", "bank_remaps",
@@ -311,7 +249,11 @@ sim::Cycle Server::beta() const noexcept {
 void Server::submit(const Request& request) {
   // Interactively fed requests must not arrive in the past: the open-loop
   // clock advances, but never behind the engine.
-  driver_->submit(request, std::max(arrivals_.next(), engine_.now()));
+  driver_->source().submit(request,
+                           std::max(arrivals_.next(), engine_.now()));
+  // A quiescent driver just gained future work; its next tick recomputes
+  // the precise wake cycle.
+  driver_->set_next_event(sim::Component::kAlways);
 }
 
 void Server::submit(const std::vector<Request>& requests) {
@@ -321,21 +263,21 @@ void Server::submit(const std::vector<Request>& requests) {
 void Server::run(sim::Cycle cycles) { engine_.run_for(cycles); }
 
 bool Server::drain() {
-  const sim::Cycle cap = driver_->last_arrival() + opts_.drain_limit;
-  while (driver_->outstanding() != 0 && engine_.now() < cap) {
+  const sim::Cycle cap = driver_->source().last_arrival() + opts_.drain_limit;
+  while (outstanding() != 0 && engine_.now() < cap) {
     engine_.run_for(std::min(kDrainChunk, cap - engine_.now()));
   }
-  return driver_->outstanding() == 0;
+  return outstanding() == 0;
 }
 
 sim::Json Server::report_json() const {
   using sim::Json;
-  const auto& st = driver_->stats();
+  const auto& serve = driver_->source();
+  const auto& st = serve.stats();
   // Serving horizon: through the last resolved request / last arrival,
   // not the engine clock — the clock depends on how run()/drain() were
   // paced, and a re-fed stream must reproduce the original report.
-  const auto cycles =
-      std::max(driver_->last_resolved(), driver_->last_arrival());
+  const auto cycles = std::max(serve.last_resolved(), serve.last_arrival());
   const auto beta_cycles = beta();
 
   Json params = Json::object();
@@ -354,7 +296,7 @@ sim::Json Server::report_json() const {
   // excluded: the same served stream must produce a byte-identical
   // report on every engine configuration.
 
-  const std::uint64_t unfinished = driver_->outstanding();
+  const std::uint64_t unfinished = outstanding();
   Json metrics = Json::object();
   metrics["cycles"] = cycles;
   metrics["offered"] = st.offered;
@@ -388,7 +330,7 @@ sim::Json Server::report_json() const {
       cycles == 0 ? 0.0
                   : static_cast<double>(st.completed) /
                         static_cast<double>(cycles);
-  const auto& hist = driver_->latency_histogram();
+  const auto& hist = serve.latency_histogram();
   metrics["latency_p50"] = hist.quantile(0.50);
   metrics["latency_p95"] = hist.quantile(0.95);
   metrics["latency_p99"] = hist.quantile(0.99);

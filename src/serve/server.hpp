@@ -1,9 +1,9 @@
 // CFM-as-a-service: an open-loop serving front end over CfmMemory
 // (DESIGN.md §13).
 //
-// `Server` owns one conflict-free memory module, a tick engine (serial or
-// parallel — results are bit-exact either way), and a `ServeDriver`
-// component that turns a request stream into engine ticks:
+// `Server` owns one conflict-free memory module, a tick engine, and a
+// `ServePorts` driver (workload::PortDriver fed by the `ServeDriver`
+// request source) that turns a request stream into engine ticks:
 //
 //   arrivals   requests are stamped with arrival cycles by an open-loop
 //              ArrivalProcess — load does not slow down because service
@@ -16,8 +16,8 @@
 //   service    each of the c processor ports serves one request at a time
 //              through CfmMemory::issue; Lock requests ride the atomic
 //              Swap (test-and-set on word 0).  Faulted operations retry
-//              with jittered backoff up to kMaxRetries, exactly like the
-//              closed-loop AccessDriver;
+//              under PortDriver's one bounded-retry policy, the same as
+//              the closed-loop workloads';
 //   reporting  per-request latency (arrival -> completion, so queue wait
 //              counts) lands in a sim::Histogram for p50/p95/p99/p99.9,
 //              plus SLO attainment and offered-vs-accepted throughput,
@@ -50,6 +50,7 @@
 #include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/types.hpp"
+#include "workload/port_driver.hpp"
 
 namespace cfm::serve {
 
@@ -96,50 +97,48 @@ struct ServeStats {
   sim::RunningStat queue_wait;  ///< arrival -> first issue, cycles
 };
 
-/// The serving component: admission, issue, harvest, retry.  Public only
-/// for tests; use Server.
-class ServeDriver final : public sim::Component {
+/// The serving request source: admission queue, request issue, latency
+/// and lock accounting.  It runs as the source of a ServePorts driver,
+/// which owns the ports, the harvest and the fault-retry policy.
+class ServeDriver {
  public:
-  ServeDriver(std::string name, sim::DomainId domain,
-              core::CfmMemory& memory, sim::Cycle slo,
-              std::size_t queue_depth, double hist_bucket_width,
-              std::size_t hist_buckets, std::uint64_t seed);
+  using Kind = RequestKind;
+  using Slot = workload::PortSlot<core::CfmMemory, Kind>;
 
-  void tick_phase(sim::Phase phase, sim::Cycle now) override;
+  ServeDriver(sim::Cycle slo, std::size_t queue_depth,
+              double hist_bucket_width, std::size_t hist_buckets);
 
   /// Enqueues a request that arrives at `arrival` (>= any previous
-  /// arrival).  Call between runs only.
+  /// arrival).  Call between runs only, then re-arm the driver.
   void submit(const Request& req, sim::Cycle arrival);
+
+  // PortDriver source interface.
+  void admit(sim::Cycle now);
+  bool next(core::CfmMemory& mem, sim::Cycle now, sim::ProcessorId p,
+            Slot& slot, sim::Rng& rng);
+  core::CfmMemory::OpToken start(core::CfmMemory& mem, sim::Cycle now,
+                                 sim::ProcessorId p, const Slot& slot);
+  void resolved(const Slot& slot, const core::BlockOpResult& r,
+                workload::Outcome outcome);
+  [[nodiscard]] sim::Cycle wake(bool port_idle) const noexcept;
 
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const sim::Histogram& latency_histogram() const noexcept {
     return latency_hist_;
   }
-  /// Compact cumulative latency sketch for telemetry window deltas.
-  [[nodiscard]] const sim::Log2Histogram& latency_log2() const noexcept {
-    return latency_log2_;
-  }
   /// Requests admitted but not yet issued (the queue-depth gauge).
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
-  /// Arrived-but-unresolved requests: queued or occupying a port.  Unlike
-  /// outstanding() this excludes submitted-but-future arrivals, whose
-  /// count reflects operator feeding cadence rather than simulated state
-  /// — telemetry gauges must never observe the former.
-  [[nodiscard]] std::uint64_t in_service() const noexcept;
-  /// Ports with an operation in flight (the utilization gauge).
-  [[nodiscard]] std::uint32_t busy_ports() const noexcept {
-    std::uint32_t n = 0;
-    for (const auto& slot : slots_) {
-      if (slot.op != core::CfmMemory::kNoOp) ++n;
-    }
-    return n;
+  /// Submitted requests whose arrival cycle is still in the future.
+  [[nodiscard]] std::size_t arriving() const noexcept {
+    return arrivals_.size();
   }
-  /// Registers this driver's serving counters, gauges and latency sketch
-  /// with a telemetry sampler (names: offered/accepted/rejected/...,
-  /// queue_depth/ports_busy/in_service/utilization, "latency").
-  void register_telemetry(sim::TelemetrySampler& sampler) const;
-  /// Requests not yet resolved: waiting to arrive, queued, or in flight.
-  [[nodiscard]] std::uint64_t outstanding() const noexcept;
+  /// Registers the serving counters, gauges and latency sketch with a
+  /// telemetry sampler (names: offered/accepted/rejected/...,
+  /// queue_depth/ports_busy/in_service/utilization, "latency").  The
+  /// port gauges read `ports`, the driver this source runs in.
+  void register_telemetry(
+      sim::TelemetrySampler& sampler,
+      const workload::PortDriver<core::CfmMemory, ServeDriver>& ports) const;
   [[nodiscard]] sim::Cycle last_arrival() const noexcept {
     return last_arrival_;
   }
@@ -150,48 +149,26 @@ class ServeDriver final : public sim::Component {
   [[nodiscard]] sim::Cycle last_resolved() const noexcept {
     return last_resolved_;
   }
-  [[nodiscard]] sim::Cycle slo() const noexcept { return slo_; }
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_depth_;
-  }
-
-  /// Fault-retry bound, matching workload::AccessDriver.
-  static constexpr std::uint32_t kMaxRetries = 8;
 
  private:
   struct Pending {
     Request req;
     sim::Cycle arrival = 0;
   };
-  struct Slot {
-    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
-    Request req;
-    sim::Cycle arrival = 0;
-    sim::Cycle issued = 0;
-    std::uint32_t retries = 0;
-    bool pending_retry = false;
-    sim::Cycle retry_at = 0;
-  };
 
-  void harvest(sim::Cycle now);
-  void admit(sim::Cycle now);
-  void issue_ready(sim::Cycle now);
-  void start(sim::Cycle now, std::uint32_t p);
-  void publish_wake(sim::Cycle now);
-
-  core::CfmMemory& mem_;
   sim::Cycle slo_;
   std::size_t queue_depth_;
-  sim::Rng rng_;  ///< retry-backoff jitter only (event-driven draws)
   std::deque<Pending> arrivals_;  ///< submitted, arrival cycle in future
   std::deque<Pending> queue_;     ///< admitted, waiting for a port
-  std::vector<Slot> slots_;       ///< one per processor port
   sim::Cycle last_arrival_ = 0;
   sim::Cycle last_resolved_ = 0;
   ServeStats stats_;
   sim::Histogram latency_hist_;
   sim::Log2Histogram latency_log2_;
 };
+
+/// The serving component: c ports over one CfmMemory, fed by ServeDriver.
+using ServePorts = workload::PortDriver<core::CfmMemory, ServeDriver>;
 
 /// The long-running front end: engine + memory + driver + arrival clock,
 /// plus optional fault injection and conflict auditing.
@@ -202,10 +179,12 @@ class Server {
   [[nodiscard]] const ServeOptions& options() const noexcept { return opts_; }
   [[nodiscard]] sim::Cycle now() const noexcept { return engine_.now(); }
   [[nodiscard]] const ServeStats& stats() const noexcept {
-    return driver_->stats();
+    return driver_->source().stats();
   }
+  /// Requests not yet resolved: waiting to arrive, queued, or in flight.
   [[nodiscard]] std::uint64_t outstanding() const noexcept {
-    return driver_->outstanding();
+    return driver_->source().arriving() + driver_->source().queued() +
+           driver_->in_flight();
   }
   [[nodiscard]] const sim::ConflictAuditor* auditor() const noexcept {
     return audit_ ? &*audit_ : nullptr;
@@ -249,7 +228,7 @@ class Server {
   std::optional<sim::ConflictAuditor> audit_;
   sim::Engine engine_;
   std::unique_ptr<core::CfmMemory> memory_;
-  std::unique_ptr<ServeDriver> driver_;
+  std::unique_ptr<ServePorts> driver_;
   std::unique_ptr<sim::TelemetrySampler> telemetry_;
   ArrivalProcess arrivals_;
 };

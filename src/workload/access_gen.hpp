@@ -15,72 +15,112 @@
 
 #include "cfm/cfm_memory.hpp"
 #include "sim/component.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/types.hpp"
+#include "workload/port_driver.hpp"
 
 namespace cfm::workload {
 
-/// Closed-loop random-read driver for one CfmMemory, as a scheduler
-/// component: every Phase::Issue it harvests completed block operations
-/// and issues a fresh read per idle processor with probability `rate`.
-/// The driver lives in the *same tick domain* as its memory, so each
-/// (driver, module) pair is a self-contained domain the fast path may
-/// span-fuse, with no shared mutable state: completions and access times
-/// are recorded in the domain's statistics shard ("ops_completed"
-/// counter, "access_time" running stat) and merged by
+/// Closed-loop Bernoulli request source for PortDriver: every cycle, each
+/// idle port issues a fresh access with probability `rate` — a block
+/// write with probability `write_fraction` of those, else a read.  Blocks
+/// are distinct per processor: the efficiency experiments are about bank
+/// traffic, not same-address races.  Completions and access times go to
+/// the domain's statistics shard ("ops_completed" / "ops_retried" /
+/// "ops_failed" counters, "access_time" running stat), merged by
 /// Engine::merged_stats.
-class AccessDriver final : public sim::Component {
+class ClosedLoop {
  public:
-  AccessDriver(std::string name, sim::DomainId domain, core::CfmMemory& memory,
-               double rate, std::uint64_t seed, sim::StatShard& shard);
+  using Kind = core::BlockOpKind;
 
-  void tick_phase(sim::Phase phase, sim::Cycle now) override;
+  ClosedLoop(double rate, sim::StatShard& shard, double write_fraction = 0.0)
+      : rate_(rate),
+        write_fraction_(write_fraction),
+        shard_(&shard),
+        access_time_(&shard.stat("access_time")) {}
 
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   /// Accesses that exhausted the bounded retry budget (only possible when
   /// the memory runs with a fault injector).
   [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
-  /// Accesses still outstanding (issued or awaiting a retry slot) — the
-  /// population a fixed cycle budget cuts off mid-flight.
-  [[nodiscard]] std::uint64_t in_flight() const noexcept;
-  /// Retries already accumulated by the in-flight accesses; excluded from
-  /// the ops_retried counter's finished population until the access
-  /// resolves, so retry exports must add these to avoid the same
-  /// survivorship bias the completion side fixed with `unfinished`.
-  [[nodiscard]] std::uint64_t in_flight_retries() const noexcept;
+
+  void admit(sim::Cycle) noexcept {}
+
+  template <class Memory, class Slot>
+  bool next(Memory& mem, sim::Cycle now, sim::ProcessorId p, Slot& slot,
+            sim::Rng& rng) {
+    if (!rng.chance(rate_)) return false;
+    if constexpr (requires { mem.txn_tracer(); }) {
+      // Generated and issued in the same cycle: the queue hint records a
+      // zero wait — the driver never holds work back, which the txn
+      // trace then shows explicitly.
+      if (auto* tracer = mem.txn_tracer()) {
+        tracer->queued_since(mem.txn_unit(), p, now);
+      }
+    }
+    slot.issued = now;
+    slot.kind = write_fraction_ > 0.0 && rng.chance(write_fraction_)
+                    ? Kind::Write
+                    : Kind::Read;
+    slot.block = 1000 + p * 7919 + (now % 97);
+    return true;
+  }
+
+  template <class Memory, class Slot>
+  typename Memory::OpToken start(Memory& mem, sim::Cycle now,
+                                 sim::ProcessorId p, const Slot& slot) {
+    if (slot.kind == Kind::Read) {
+      return mem.issue(now, p, Kind::Read, slot.block);
+    }
+    // Deterministic payload: a pure function of (block, word, issue
+    // slot), so replays write the same bits without extra RNG draws.
+    scratch_.resize(mem.block_words());
+    for (std::uint32_t w = 0; w < scratch_.size(); ++w) {
+      scratch_[w] = (slot.block * 0x9E3779B97F4A7C15ULL) ^
+                    (static_cast<sim::Word>(w) << 32) ^ slot.issued;
+    }
+    return mem.issue(now, p, Kind::Write, slot.block, scratch_);
+  }
+
+  template <class Slot>
+  void resolved(const Slot& slot, const core::BlockOpResult& r, Outcome o) {
+    switch (o) {
+      case Outcome::Completed:
+        access_time_->add(static_cast<double>(r.completed - slot.issued));
+        ++completed_;
+        shard_->counters.inc("ops_completed");
+        break;
+      case Outcome::Retried:
+        shard_->counters.inc("ops_retried");
+        break;
+      case Outcome::Failed:
+        ++failed_;
+        shard_->counters.inc("ops_failed");
+        break;
+    }
+  }
+
+  /// An idle port rolls the Bernoulli draw every cycle, so the driver can
+  /// never be skipped then (skipping would desynchronise the stream).
+  [[nodiscard]] sim::Cycle wake(bool port_idle) const noexcept {
+    return port_idle ? sim::Component::kAlways : sim::kNeverCycle;
+  }
 
  private:
-  struct ProcState {
-    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
-    sim::Cycle issued = 0;
-    sim::Cycle retry_at = 0;
-    std::uint32_t retries = 0;
-    bool pending_retry = false;
-  };
-
-  /// Aborted accesses (bounded-latency fault path) retry this many times
-  /// with jittered back-off before counting as failed, so every access
-  /// resolves within a bounded number of fault windows.
-  static constexpr std::uint32_t kMaxRetries = 8;
-
-  /// Publishes the Issue-phase quiescence hint after a tick: any idle
-  /// processor rolls the Bernoulli generator every cycle (kAlways); with
-  /// every processor busy or backing off, the driver sleeps until the
-  /// earliest retry slot or the memory's completion lower bound.  Skipped
-  /// cycles perform no RNG draws on the reference path either, so the
-  /// random stream — and therefore the workload — is bit-identical.
-  void publish_wake(sim::Cycle now);
-
-  core::CfmMemory& mem_;
   double rate_;
-  sim::Rng rng_;
-  std::vector<ProcState> procs_;
-  sim::StatShard& shard_;
+  double write_fraction_;
+  sim::StatShard* shard_;
+  sim::RunningStat* access_time_;
+  std::vector<sim::Word> scratch_;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
 };
+
+template <core::BlockMemory Memory>
+using ClosedLoopDriver = PortDriver<Memory, ClosedLoop>;
 
 struct EfficiencyResult {
   double efficiency = 1.0;        ///< beta / mean access time
@@ -125,15 +165,10 @@ struct EfficiencyResult {
                                            double rate, sim::Cycle cycles,
                                            std::uint64_t seed);
 
-/// Optional instrumentation for measure_cfm_instrumented.  All pointers
-/// may be null; null everything is exactly measure_cfm.  This is the one
-/// machine builder benches and the campaign executor share: the campaign
-/// runner attaches the auditor / fault injector here instead of growing a
-/// parallel construction path.
-struct CfmRunHooks {
-  sim::ConflictAuditor* auditor = nullptr;       ///< ConflictFree scope
-  const sim::FaultInjector* injector = nullptr;  ///< degraded-mode faults
-  std::uint32_t spare_banks = 1;                 ///< for dead-bank remap
+/// Optional instrumentation for measure_closed_loop; null everything is a
+/// bare run.  The auditor and fault injector are attached to the memory
+/// by the caller, who builds it.
+struct RunHooks {
   /// Merged driver-shard counters (ops_completed / ops_retried /
   /// ops_failed) plus the memory's own counters, written on return.
   sim::CounterSet* counters_out = nullptr;
@@ -143,16 +178,22 @@ struct CfmRunHooks {
   sim::RunningStat* access_time_out = nullptr;
   /// Time-series telemetry: with `telemetry_window` > 0 and
   /// `timeseries_out` non-null, a TelemetrySampler rides the run
-  /// (ops/retries/failures per window, in-flight and bank-health gauges)
-  /// and its exported series — horizon = the cycle budget — is written to
-  /// *timeseries_out on return.
+  /// (ops/retries/failures per window, memory fault counters, in-flight
+  /// and bank-health gauges) and its exported series — horizon = the
+  /// cycle budget — is written to *timeseries_out on return.
   sim::Cycle telemetry_window = 0;
   std::size_t telemetry_capacity = 0;  ///< 0 = sampler default
   sim::Json* timeseries_out = nullptr;
 };
 
-[[nodiscard]] EfficiencyResult measure_cfm_instrumented(
-    std::uint32_t processors, std::uint32_t bank_cycle, double rate,
-    sim::Cycle cycles, std::uint64_t seed, const CfmRunHooks& hooks);
+/// The one machine builder benches and the campaign runner share: attaches
+/// `memory` (CfmMemory or CodedMemory, fresh) to `engine` (fresh, declared
+/// before the memory so it outlives it) and runs the closed-loop workload
+/// for `cycles` cycles.  `efficiency` is measured against the memory's own
+/// stall-free block time, so 1.0 means "as good as its banks allow".
+template <core::BlockMemory Memory>
+[[nodiscard]] EfficiencyResult measure_closed_loop(
+    sim::Engine& engine, Memory& memory, double rate, double write_fraction,
+    sim::Cycle cycles, std::uint64_t seed, const RunHooks& hooks = {});
 
 }  // namespace cfm::workload

@@ -266,7 +266,9 @@ TEST(CfmProtocol, RandomizedCoherence) {
       }
     }
     sys.tick(t);
-    if (t % 64 == 0) ASSERT_TRUE(sys.check_single_dirty_owner());
+    if (t % 64 == 0) {
+      ASSERT_TRUE(sys.check_single_dirty_owner());
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // (stripe layout, rate arithmetic, tradeoff enumeration), CodedMemory's
 // read/decode/write/parity paths under both parity policies, permanent
 // decode of dead banks, the CodedRelaxed audit scope, the closed-loop
-// CodedDriver, and the `coded` campaign workload family.
+// driver on CodedMemory, and the `coded` campaign workload family.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -15,7 +15,7 @@
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "workload/coded_gen.hpp"
+#include "workload/access_gen.hpp"
 
 namespace {
 
@@ -114,9 +114,11 @@ TEST(CodeDescriptor, FromRateDerivesParityCount) {
       CodeDescriptor::from_rate(8, 4, 1.0, ParityPolicy::ReadModifyWrite);
   EXPECT_EQ(uncoded.parity_per_stripe, 0u);
   // 0.7 with k=4 needs r = 12/7: not realizable.
-  EXPECT_THROW(CodeDescriptor::from_rate(8, 4, 0.7, ParityPolicy::Logged),
+  EXPECT_THROW(static_cast<void>(CodeDescriptor::from_rate(
+                   8, 4, 0.7, ParityPolicy::Logged)),
                std::invalid_argument);
-  EXPECT_THROW(CodeDescriptor::from_rate(8, 4, 0.0, ParityPolicy::Logged),
+  EXPECT_THROW(static_cast<void>(CodeDescriptor::from_rate(
+                   8, 4, 0.0, ParityPolicy::Logged)),
                std::invalid_argument);
 }
 
@@ -136,8 +138,9 @@ TEST(CodeDescriptor, EnumerateTradeoffsCoversBudget) {
     EXPECT_NO_THROW(d.validate());
     EXPECT_DOUBLE_EQ(row.code_rate, d.code_rate());
   }
-  EXPECT_THROW(mem::coded::parity_policy_from_name("raid6"),
-               std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(mem::coded::parity_policy_from_name("raid6")),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------- memory: basics ---
@@ -377,12 +380,14 @@ TEST(ConflictAuditor, CodedRelaxedProbesDetectBreaks) {
 TEST(CodedDriver, ClosedLoopCleanRunCompletes) {
   CodedConfig cfg = small_config(1, ParityPolicy::ReadModifyWrite);
   sim::ConflictAuditor auditor;
-  workload::CodedRunHooks hooks;
-  hooks.auditor = &auditor;
+  sim::Engine engine;
+  CodedMemory mem(cfg);
+  mem.set_audit(auditor);
   sim::CounterSet counters;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
-  const auto r = workload::measure_coded_instrumented(
-      cfg, /*rate=*/0.3, /*write_fraction=*/0.3, /*cycles=*/4000,
+  const auto r = workload::measure_closed_loop(
+      engine, mem, /*rate=*/0.3, /*write_fraction=*/0.3, /*cycles=*/4000,
       /*seed=*/7, hooks);
   EXPECT_GT(r.completed, 100u);
   EXPECT_EQ(r.failed, 0u);
@@ -399,16 +404,17 @@ TEST(CodedDriver, FaultedRunServesEverythingByDecode) {
   sim::ConflictAuditor auditor;
   sim::FaultInjector injector(
       sim::FaultPlan::parse("bank_dead@2000:module=0,bank=3"));
-  workload::CodedRunHooks hooks;
-  hooks.auditor = &auditor;
-  hooks.injector = &injector;
+  sim::Engine engine;
+  CodedMemory mem(cfg);
+  mem.set_audit(auditor);
+  mem.set_fault_injector(injector);
   sim::CounterSet counters;
-  std::uint32_t fanout_max = 0;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
-  hooks.decode_fanout_max_out = &fanout_max;
-  const auto r = workload::measure_coded_instrumented(
-      cfg, /*rate=*/0.3, /*write_fraction=*/0.25, /*cycles=*/6000,
+  const auto r = workload::measure_closed_loop(
+      engine, mem, /*rate=*/0.3, /*write_fraction=*/0.25, /*cycles=*/6000,
       /*seed=*/11, hooks);
+  const auto fanout_max = mem.decode_fanout_max();
   EXPECT_GT(r.completed, 100u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(auditor.violations(), 0u);
@@ -421,14 +427,39 @@ TEST(CodedDriver, FaultedRunServesEverythingByDecode) {
   EXPECT_LE(fanout_max, cfg.code.stripe_width);
 }
 
+TEST(CodedDriver, DoubleDeathInOneGroupExhaustsTheRetryBound) {
+  // Two deaths in one parity group leave it unable to decode, and every
+  // block touches every data bank: after the deaths no access completes,
+  // so each either failed after exactly kMaxRetries retries or is still
+  // retrying at the cutoff.
+  CodedConfig cfg = small_config(1, ParityPolicy::ReadModifyWrite);
+  sim::FaultInjector injector(sim::FaultPlan::parse(
+      "bank_dead@500:module=0,bank=0;bank_dead@500:module=0,bank=1"));
+  sim::Engine engine;
+  CodedMemory mem(cfg);
+  mem.set_fault_injector(injector);
+  sim::CounterSet counters;
+  workload::RunHooks hooks;
+  hooks.counters_out = &counters;
+  const auto r = workload::measure_closed_loop(
+      engine, mem, /*rate=*/0.3, /*write_fraction=*/0.25, /*cycles=*/6000,
+      /*seed=*/11, hooks);
+  EXPECT_GT(r.failed, 0u);
+  EXPECT_EQ(counters.get("ops_failed"), r.failed);
+  EXPECT_EQ(counters.get("ops_retried"),
+            workload::kMaxRetries * r.failed + r.unfinished_retries);
+}
+
 TEST(CodedDriver, DeterministicAcrossRuns) {
   CodedConfig cfg = small_config(2, ParityPolicy::Logged);
   const auto run = [&] {
+    sim::Engine engine;
+    CodedMemory mem(cfg);
     sim::CounterSet counters;
-    workload::CodedRunHooks hooks;
+    workload::RunHooks hooks;
     hooks.counters_out = &counters;
-    const auto r = workload::measure_coded_instrumented(
-        cfg, 0.4, 0.3, 3000, 99, hooks);
+    const auto r = workload::measure_closed_loop(engine, mem, 0.4, 0.3, 3000,
+                                                 99, hooks);
     return std::make_pair(r.completed, counters.get("parity_updates"));
   };
   const auto a = run();

@@ -73,7 +73,8 @@ void expect_same_stats(const StatShard& a, const StatShard& b) {
 // own closed-loop driver in its own tick domain.
 struct ModuleFarm {
   std::vector<std::unique_ptr<core::CfmMemory>> mems;
-  std::vector<std::unique_ptr<workload::AccessDriver>> drivers;
+  std::vector<std::unique_ptr<workload::ClosedLoopDriver<core::CfmMemory>>>
+      drivers;
 
   void build(Engine& engine, std::uint32_t modules, std::uint32_t procs) {
     for (std::uint32_t m = 0; m < modules; ++m) {
@@ -81,9 +82,11 @@ struct ModuleFarm {
           core::CfmConfig::make(procs, 2)));
       const auto domain = engine.allocate_domain();
       mems.back()->attach(engine, domain);
-      drivers.push_back(std::make_unique<workload::AccessDriver>(
-          "driver#" + std::to_string(m), domain, *mems.back(), 0.7,
-          /*seed=*/0xfeedULL + m, engine.shard(domain)));
+      drivers.push_back(
+          std::make_unique<workload::ClosedLoopDriver<core::CfmMemory>>(
+              "driver#" + std::to_string(m), domain, *mems.back(),
+              /*seed=*/0xfeedULL + m,
+              workload::ClosedLoop(0.7, engine.shard(domain))));
       engine.add(*drivers.back());
     }
   }
@@ -287,8 +290,9 @@ TEST(Engine, ProfilingDoesNotPerturbResults) {
 
   expect_same_stats(plain.merged_stats(), profiled.merged_stats());
   for (std::uint32_t m = 0; m < kModules; ++m) {
-    EXPECT_GT(a.drivers[m]->completed(), 0u);
-    EXPECT_EQ(a.drivers[m]->completed(), b.drivers[m]->completed());
+    EXPECT_GT(a.drivers[m]->source().completed(), 0u);
+    EXPECT_EQ(a.drivers[m]->source().completed(),
+              b.drivers[m]->source().completed());
     EXPECT_EQ(a.mems[m]->counters().all(), b.mems[m]->counters().all());
     for (std::uint32_t p = 0; p < kProcs; ++p) {
       const sim::BlockAddr addr = 1000 + p * 7919;

@@ -203,13 +203,14 @@ TEST(CfmDegradation, FastPathMatchesReferenceUnderFaults) {
     mem.set_fault_injector(inj, 1);
     const auto domain = engine.allocate_domain();
     mem.attach(engine, domain);
-    workload::AccessDriver driver("fault.driver", domain, mem, 0.25, 4321,
-                                  engine.shard(domain));
+    workload::ClosedLoopDriver<core::CfmMemory> driver(
+        "fault.driver", domain, mem, 4321,
+        workload::ClosedLoop(0.25, engine.shard(domain)));
     engine.add(driver);
     engine.run_for(8000);
     Run out;
-    out.completed = driver.completed();
-    out.failed = driver.failed();
+    out.completed = driver.source().completed();
+    out.failed = driver.source().failed();
     const auto& shard = engine.shard(domain);
     if (const auto it = shard.running.find("access_time");
         it != shard.running.end()) {
@@ -303,19 +304,39 @@ TEST(ClosedLoop, CfmRetryMeanCountsWholePopulation) {
   // issued population — completed, failed, *and* still in flight — so
   // a cutoff mid-retry cannot deflate it.
   FaultInjector inj(FaultPlan::parse("bank_dead@100:module=0,bank=1"));
+  sim::Engine engine;
+  core::CfmMemory mem(core::CfmConfig::make(4, 2));
+  mem.set_fault_injector(inj, /*spare_banks=*/0);
   sim::CounterSet counters;
-  workload::CfmRunHooks hooks;
-  hooks.injector = &inj;
-  hooks.spare_banks = 0;
+  workload::RunHooks hooks;
   hooks.counters_out = &counters;
   const auto r =
-      workload::measure_cfm_instrumented(4, 2, 0.5, 2000, 21, hooks);
+      workload::measure_closed_loop(engine, mem, 0.5, 0.0, 2000, 21, hooks);
   const auto retried = counters.get("ops_retried");
   ASSERT_GT(retried, 0u);
   const auto population = r.completed + r.failed + r.unfinished;
   ASSERT_GT(population, 0u);
   EXPECT_DOUBLE_EQ(r.mean_retries, static_cast<double>(retried) /
                                        static_cast<double>(population));
+}
+
+TEST(ClosedLoop, CfmUnmappedDeadBankExhaustsTheRetryBound) {
+  // Every block access spans the dead, unmapped bank, so after the death
+  // no access completes: each one either failed after exactly
+  // kMaxRetries retries or is still retrying at the cutoff.
+  FaultInjector inj(FaultPlan::parse("bank_dead@100:module=0,bank=1"));
+  sim::Engine engine;
+  core::CfmMemory mem(core::CfmConfig::make(4, 2));
+  mem.set_fault_injector(inj, /*spare_banks=*/0);
+  sim::CounterSet counters;
+  workload::RunHooks hooks;
+  hooks.counters_out = &counters;
+  const auto r =
+      workload::measure_closed_loop(engine, mem, 0.5, 0.0, 4000, 21, hooks);
+  EXPECT_GT(r.failed, 0u);
+  EXPECT_EQ(counters.get("ops_failed"), r.failed);
+  EXPECT_EQ(counters.get("ops_retried"),
+            workload::kMaxRetries * r.failed + r.unfinished_retries);
 }
 
 // --------------------------------------------- Uniform[1, beta] draws --

@@ -15,6 +15,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
+#include "workload/port_driver.hpp"
 
 using namespace cfm;
 using namespace cfm::serve;
@@ -232,6 +233,24 @@ TEST(Serve, FaultPlanDegradesGracefully) {
   EXPECT_EQ(server.auditor()->violations(), 0u);
   const auto report = server.report_json();
   EXPECT_TRUE(report.contains("audit"));
+}
+
+TEST(Serve, UnmappedDeadBankExhaustsTheRetryBound) {
+  // No spare for the dead bank: the machine halts on it, every access
+  // spans it, so each request issued after the death aborts on every
+  // attempt and fails after exactly kMaxRetries retries.  Requests that
+  // completed before the death never retried.
+  ServeOptions opts;
+  opts.arrival = ArrivalConfig::parse("poisson:rate=0.05");
+  opts.fault_plan = "bank_dead@500:module=0,bank=3";
+  opts.spare_banks = 0;
+  Server server(opts);
+  server.submit(synth_requests(200, 0.25, 0.05, 0.05, 64, 9));
+  ASSERT_TRUE(server.drain());
+  const auto& st = server.stats();
+  EXPECT_GT(st.failed, 0u);
+  EXPECT_EQ(st.retried, workload::kMaxRetries * st.failed);
+  EXPECT_EQ(st.completed + st.failed + st.rejected, st.offered);
 }
 
 // ---------------------------------------------------------------------------
