@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                                /*combining=*/false, &auditor);
     const auto trace =
         workload::Trace::uniform(16, 1, 256, 2000, 2000, 0.3, 2026);
-    (void)replay_on_cfm_instrumented(trace, 16, 1, nullptr, &auditor);
+    (void)replay_on_cfm(trace, 16, 1, nullptr, &auditor);
     auditor.to_report(report);
     const bool detects = auditor.conflicts_detected() > 0;
     const bool clean = auditor.violations() == 0;

@@ -95,12 +95,12 @@ int main(int argc, char** argv) {
     const auto ra = mem.take_result(a);
     const auto rb = mem.take_result(b);
     std::printf("  a (earlier): %s; b (later): %s\n",
-                ra->status == OpStatus::Aborted ? "aborted" : "completed",
+                ra->status == OpStatus::Superseded ? "aborted" : "completed",
                 rb->status == OpStatus::Completed ? "completed" : "aborted");
     const bool consistent = print_block("  final block:", mem.peek_block(7));
     std::printf("\n");
     auto s = sim::Json::object();
-    s["earlier_aborted"] = ra->status == OpStatus::Aborted;
+    s["earlier_aborted"] = ra->status == OpStatus::Superseded;
     s["later_completed"] = rb->status == OpStatus::Completed;
     s["final_block_consistent"] = consistent;
     report.add_section("fig4_3_staggered_writes", std::move(s));
@@ -117,13 +117,13 @@ int main(int argc, char** argv) {
     const auto rd = mem.take_result(d);
     std::printf("  write c (bank 1 first): %s — aborted at bank 5 on "
                 "detecting d\n",
-                rc->status == OpStatus::Aborted ? "aborted" : "completed");
+                rc->status == OpStatus::Superseded ? "aborted" : "completed");
     std::printf("  write d (bank 5 first): %s — reached bank 0 first\n",
                 rd->status == OpStatus::Completed ? "completed" : "aborted");
     const bool consistent = print_block("  final block:", mem.peek_block(7));
     std::printf("\n");
     auto s = sim::Json::object();
-    s["bank1_writer_aborted"] = rc->status == OpStatus::Aborted;
+    s["bank1_writer_aborted"] = rc->status == OpStatus::Superseded;
     s["bank5_writer_completed"] = rd->status == OpStatus::Completed;
     s["final_block_consistent"] = consistent;
     report.add_section("fig4_4_simultaneous_writes", std::move(s));

@@ -5,10 +5,12 @@
 
 #include "cfm/shared_slot.hpp"
 #include "report_main.hpp"
+#include "workload/access_gen.hpp"
 
 int main(int argc, char** argv) {
   using namespace cfm;
   using namespace cfm::core;
+  using workload::measure_shared_slots;
   const auto opts = bench::parse_options(argc, argv);
   sim::Report report("oversubscription");
   report.set_param("slots", 8);

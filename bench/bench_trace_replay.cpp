@@ -48,14 +48,10 @@ int main(int argc, char** argv) {
                                         0.3, seed);
   sim::TxnTracer tracer;
   sim::ConflictAuditor auditor;
-  const bool instrument = opts.audit || !opts.txn_trace_out.empty();
   const auto cfm_result =
-      instrument
-          ? replay_on_cfm_instrumented(
-                cfm_trace, kProcs, 1,
-                opts.txn_trace_out.empty() ? nullptr : &tracer,
-                opts.audit ? &auditor : nullptr)
-          : replay_on_cfm(cfm_trace, kProcs, 1);
+      replay_on_cfm(cfm_trace, kProcs, 1,
+                    opts.txn_trace_out.empty() ? nullptr : &tracer,
+                    opts.audit ? &auditor : nullptr);
   std::printf("%-34s %-12llu %-16.1f %-14llu %-12llu\n",
               "CFM (16 banks, conflict-free)",
               static_cast<unsigned long long>(cfm_result.makespan),

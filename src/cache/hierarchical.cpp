@@ -337,9 +337,9 @@ void HierarchicalCfm::advance(sim::Cycle now, Pending& p) {
   auto result = mem.take_result(p.op);
   if (!result.has_value()) return;
   p.op = CfmMemory::kNoOp;
-  if (result->status == core::OpStatus::Aborted) {
-    // A write lost a same-address race (possible only under heavy sharing);
-    // reissue the phase.
+  if (result->status != core::OpStatus::Completed) {
+    // A write superseded in a same-address race (possible only under heavy
+    // sharing) or fault-aborted by a member memory: reissue the phase.
     counters_.inc("phase_retries");
     if (tracer_) tracer_->restart(p.txn, now, "phase_retry");
     return;

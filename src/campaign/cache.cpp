@@ -38,9 +38,10 @@ std::optional<sim::Json> ResultCache::load(const PointSpec& point) const {
     return std::nullopt;  // truncated / corrupt entry: clean miss
   }
   if (!entry.is_object() || !entry.contains("key") ||
-      !entry.contains("result")) {
+      !entry.contains("model") || !entry.contains("result")) {
     return std::nullopt;
   }
+  if (!(entry.at("model") == Json(kModelVersion))) return std::nullopt;
   // Guard against hash collisions and stale schemas: the stored spec
   // must match the requesting point exactly, not just its hash.
   if (!(entry.at("key") == point.canonical())) return std::nullopt;
@@ -57,6 +58,7 @@ void ResultCache::store(const PointSpec& point, const sim::Json& result) const {
   }
   Json entry = Json::object();
   entry["key"] = point.canonical();
+  entry["model"] = kModelVersion;
   entry["result"] = result;
   const std::string path = path_for(point);
   // Per-process AND per-thread temp name: duplicate grid points may store

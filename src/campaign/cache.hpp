@@ -7,14 +7,16 @@
 // points, and an interrupted campaign resumes from whatever the previous
 // run managed to store.
 //
-// Each entry stores the full canonical spec alongside the result and
-// load() verifies it matches the requesting point byte-for-byte: a hash
-// collision, a stale schema, or a corrupt / truncated file (a campaign
+// Each entry stores the full canonical spec and the model version
+// alongside the result, and load() verifies both match the requesting
+// build byte-for-byte: a hash collision, a stale schema, a result another
+// model version computed, or a corrupt / truncated file (a campaign
 // killed mid-write) all read as a clean miss and the point simply runs
 // again.  Stores are atomic (write to a temp file, then rename) so a
 // parallel or interrupted campaign never publishes a half-written entry.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -22,6 +24,11 @@
 #include "sim/report.hpp"
 
 namespace cfm::campaign {
+
+/// Version of the models behind a cached result: bump it in any change
+/// that moves a campaign result.  Not part of PointSpec::canonical(),
+/// whose hash seeds the point: a bump must not re-seed every point.
+inline constexpr std::uint64_t kModelVersion = 1;
 
 class ResultCache {
  public:
@@ -35,8 +42,8 @@ class ResultCache {
   /// The entry file path for a point (meaningful even before it exists).
   [[nodiscard]] std::string path_for(const PointSpec& point) const;
 
-  /// Cached result for the point, or nullopt on miss, corrupt entry, or
-  /// spec mismatch.
+  /// Cached result for the point, or nullopt on miss, corrupt entry, spec
+  /// mismatch, or another model version.
   [[nodiscard]] std::optional<sim::Json> load(const PointSpec& point) const;
 
   /// True when a valid, spec-matching entry exists — the same

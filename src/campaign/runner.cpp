@@ -112,25 +112,22 @@ Json run_cfm(const PointSpec& point) {
       0.0, [](Json&, const core::CfmMemory&) {});
 }
 
-Json run_conventional(const PointSpec& point) {
-  const auto r = workload::measure_conventional(
-      static_cast<std::uint32_t>(point.param_u64("n")),
-      static_cast<std::uint32_t>(point.param_u64("m")),
-      static_cast<std::uint32_t>(point.param_u64("beta")),
-      point.param_double("rate"), point.param_u64("cycles"),
-      effective_seed(point));
-  Json out = Json::object();
-  out["metrics"] = efficiency_metrics(r);
-  return out;
-}
-
-Json run_partial_cfm(const PointSpec& point) {
-  const auto r = workload::measure_partial_cfm(
-      static_cast<std::uint32_t>(point.param_u64("n")),
-      static_cast<std::uint32_t>(point.param_u64("m")),
-      static_cast<std::uint32_t>(point.param_u64("beta")),
-      point.param_double("rate"), point.param_double("locality"),
-      point.param_u64("cycles"), effective_seed(point));
+/// The contention-loop baselines: `conventional` (uniform module
+/// targets) and `partial_cfm` (the home module with probability
+/// `locality`).
+Json run_contended(const PointSpec& point) {
+  const auto n = static_cast<std::uint32_t>(point.param_u64("n"));
+  const auto m = static_cast<std::uint32_t>(point.param_u64("m"));
+  const auto beta = static_cast<std::uint32_t>(point.param_u64("beta"));
+  const double rate = point.param_double("rate");
+  const auto cycles = point.param_u64("cycles");
+  const auto seed = effective_seed(point);
+  const auto r =
+      point.workload == WorkloadKind::PartialCfm
+          ? workload::measure_partial_cfm(n, m, beta, rate,
+                                          point.param_double("locality"),
+                                          cycles, seed)
+          : workload::measure_conventional(n, m, beta, rate, cycles, seed);
   Json out = Json::object();
   out["metrics"] = efficiency_metrics(r);
   return out;
@@ -145,8 +142,8 @@ Json run_trace_replay(const PointSpec& point) {
       point.param_u64("span"), point.param_double("write_fraction"),
       effective_seed(point));
   sim::ConflictAuditor auditor;
-  const auto r = workload::replay_on_cfm_instrumented(
-      trace, n, c, nullptr, point.audit ? &auditor : nullptr);
+  const auto r = workload::replay_on_cfm(trace, n, c, nullptr,
+                                        point.audit ? &auditor : nullptr);
   Json m = Json::object();
   m["mean_latency"] = r.mean_latency;
   m["completed"] = r.completed;
@@ -255,8 +252,8 @@ Json run_tradeoff(const PointSpec& point) {
 sim::Json run_point(const PointSpec& point) {
   switch (point.workload) {
     case WorkloadKind::Cfm: return run_cfm(point);
-    case WorkloadKind::Conventional: return run_conventional(point);
-    case WorkloadKind::PartialCfm: return run_partial_cfm(point);
+    case WorkloadKind::Conventional:
+    case WorkloadKind::PartialCfm: return run_contended(point);
     case WorkloadKind::TraceReplay: return run_trace_replay(point);
     case WorkloadKind::Lock: return run_lock(point);
     case WorkloadKind::Tradeoff: return run_tradeoff(point);

@@ -1,13 +1,14 @@
 // Executes one expanded campaign grid point.
 //
-// This is the single machine-construction path benches and campaigns
-// share: every workload kind dispatches onto the existing workload entry
-// points (measure_closed_loop / measure_conventional /
-// measure_partial_cfm / replay_on_cfm_instrumented / run_lock_farm_* /
-// enumerate_tradeoffs' row arithmetic) rather than growing a parallel
-// builder.  run_point is a pure function of the PointSpec — no global
-// state, no clocks — so the executor may run many points concurrently on
-// independent Engine instances and the result is cacheable by content.
+// Every workload kind dispatches onto an existing workload entry point
+// rather than growing a parallel builder: `cfm` and `coded` run
+// measure_closed_loop and `trace_replay` replay_on_cfm (both PortDriver),
+// `conventional` and `partial_cfm` the contention loop
+// (measure_conventional / measure_partial_cfm), `lock` run_lock_farm_*,
+// and `tradeoff` enumerate_tradeoffs' row arithmetic.  run_point is a
+// pure function of the PointSpec — no global state, no clocks — so the
+// executor may run many points concurrently on independent Engine
+// instances and the result is cacheable by content.
 #pragma once
 
 #include "campaign/scenario.hpp"

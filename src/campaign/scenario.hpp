@@ -46,7 +46,7 @@ enum class WorkloadKind : std::uint8_t {
   Cfm,          ///< measure_closed_loop on the real CfmMemory
   Conventional, ///< measure_conventional (contended baseline)
   PartialCfm,   ///< measure_partial_cfm (locality lambda)
-  TraceReplay,  ///< Trace::uniform + replay_on_cfm_instrumented
+  TraceReplay,  ///< Trace::uniform + replay_on_cfm
   Lock,         ///< run_lock_farm_{cfm,cached,snoopy}
   Tradeoff,     ///< Table 3.3 configuration rows (pure analytic)
   Coded,        ///< measure_closed_loop on the coded-redundancy

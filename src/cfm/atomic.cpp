@@ -77,9 +77,10 @@ void LockClient::tick(sim::Cycle now, CfmMemory& mem) {
     case State::UnlockPending: {
       auto result = mem.take_result(pending_);
       if (!result.has_value()) break;
-      if (result->status == OpStatus::Aborted) {
-        // Lost a write-write race (cannot happen in well-formed lock usage
-        // where only the holder writes, but stay robust): retry.
+      if (result->status != OpStatus::Completed) {
+        // Superseded by a racing write (cannot happen in well-formed lock
+        // usage where only the holder writes, but stay robust) or
+        // fault-aborted: the lock word must still clear, so retry.
         const std::vector<sim::Word> zeros(mem.config().banks, 0);
         pending_ = mem.issue(now, proc_, BlockOpKind::Write, block_, zeros);
         break;

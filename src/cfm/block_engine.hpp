@@ -26,7 +26,10 @@ enum class BlockOpKind : std::uint8_t {
 enum class OpStatus : std::uint8_t {
   InFlight,
   Completed,
-  Aborted,   ///< write lost to a higher-priority same-address write
+  /// Plain write that met a later same-address write and let it land
+  /// (§4.1 / §4.2): final, the block holds the fresher value.
+  Superseded,
+  Aborted,   ///< fault abort: watchdog timeout or a dropped link
   Rejected,  ///< cache-protocol op told to retry later (Table 5.2)
 };
 

@@ -1,12 +1,21 @@
 // BlockMemory — the surface a block-access memory backend offers to the
 // drivers that feed it (DESIGN.md §4c).
 //
-// CfmMemory and CodedMemory are the two implementations.  A driver issues
-// one block operation per processor port, polls take_result at its Issue
-// phase, sleeps until next_completion_hint, and reacts to OpStatus: every
-// non-Completed status is a fault abort the driver may retry.  The concept
-// is checked at compile time (each memory static_asserts it), so drivers
-// are templates over it and the per-port path makes no virtual call.
+// CfmMemory and CodedMemory are the two implementations, and
+// workload::PortDriver the one driver; its request sources are ClosedLoop,
+// serve::ServeDriver and trace replay.  A driver issues one block
+// operation per processor port, polls take_result at its Issue phase,
+// sleeps until next_completion_hint, and reacts to one of three outcomes:
+//
+//   Completed   done;
+//   Superseded  a plain write met a later same-address write and let it
+//               land (§4.1): final, never retried;
+//   Aborted     a fault abort (watchdog, unserviceable coded stall,
+//               dropped link), which the driver may retry.
+//
+// The concept is checked at compile time (each memory static_asserts it),
+// so drivers are templates over it and the per-port path makes no virtual
+// call.
 #pragma once
 
 #include <concepts>

@@ -171,20 +171,41 @@ void CfmMemory::tick_span(sim::Cycle begin, sim::Cycle end) {
 }
 
 sim::Cycle CfmMemory::next_completion_hint(sim::Cycle now) const {
-  (void)now;
   if (faults_ != nullptr || !results_.empty()) return sim::Component::kAlways;
   sim::Cycle hint = sim::kNeverCycle;
   for (const auto& slot : inflight_) {
     if (!slot.has_value()) continue;
     // tour_start + beta is when this tour would complete if nothing
     // restarts it; restarts and swap write phases only push completion
-    // later, so the minimum over slots is a valid lower bound.
+    // later.  A superseded write finishes early instead, the cycle after
+    // any step of its tour.
     const sim::Cycle w = slot->drain_until != sim::kNeverCycle
                              ? slot->drain_until
+                         : may_be_superseded(*slot)
+                             ? std::max(slot->tour_start, now) + 1
                              : at_.completion(slot->tour_start);
     hint = std::min(hint, w);
   }
   return hint;
+}
+
+bool CfmMemory::may_be_superseded(const InFlight& op) const noexcept {
+  // The supersessor is a write-like op on the block that started no
+  // earlier, so it outlives this tour unless superseded in turn by one
+  // that starts no earlier still: some such op is always in flight.
+  if (op.kind != BlockOpKind::Write ||
+      policy_ == ConsistencyPolicy::NoTracking) {
+    return false;
+  }
+  for (const auto& other : inflight_) {
+    if (other.has_value() && other->token != op.token &&
+        other->offset == op.offset &&
+        (other->kind == BlockOpKind::Write ||
+         other->kind == BlockOpKind::Swap)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void CfmMemory::check_faults(sim::Cycle now) {
@@ -249,7 +270,8 @@ void CfmMemory::check_faults(sim::Cycle now) {
         slot->fault_at = now;
       } else if (now >= slot->fault_at + fault_timeout_) {
         counters_.inc("fault_aborts");
-        abort_write(now, *slot, at_.bank_at(now, slot->proc));
+        abort_write(now, *slot, at_.bank_at(now, slot->proc),
+                    OpStatus::Aborted);
       }
     }
   }
@@ -316,11 +338,12 @@ void CfmMemory::restart(sim::Cycle now, InFlight& op, sim::BankId bank,
   }
 }
 
-void CfmMemory::abort_write(sim::Cycle now, InFlight& op, sim::BankId bank) {
+void CfmMemory::abort_write(sim::Cycle now, InFlight& op, sim::BankId bank,
+                            OpStatus status) {
   if (op.progress > 0) {
     atts_[bank].insert(now, op.offset, OpKind::Abandon, op.token, op.proc);
   }
-  finish(now, op, OpStatus::Aborted);
+  finish(now, op, status);
 }
 
 void CfmMemory::complete_or_drain(sim::Cycle now, InFlight& op) {
@@ -394,7 +417,7 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
     if (att.find(now, op.offset, 0, later_hi, kWriteLike, op.token)) {
       // §4.1: the later (or tie-winning) write overwrites everything we
       // wrote; abort and let it land.
-      abort_write(now, op, bank);
+      abort_write(now, op, bank, OpStatus::Superseded);
       return false;
     }
   } else if (op.kind == BlockOpKind::Swap) {
@@ -433,7 +456,7 @@ bool CfmMemory::handle_write_side(sim::Cycle now, InFlight& op,
     // torn block; with later-wins the winner is always fresher, so its
     // live entry re-captures every trailing reader.  See DESIGN.md.
     if (att.find(now, op.offset, 0, later_hi, kWriteLike, op.token)) {
-      abort_write(now, op, bank);
+      abort_write(now, op, bank, OpStatus::Superseded);
       return false;
     }
   }

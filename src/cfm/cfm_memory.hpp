@@ -89,8 +89,9 @@ class CfmMemory {
   /// polling at `now`'s Issue phase.  kAlways while results are already
   /// pending or a fault injector is attached (fault timing is per-cycle
   /// observable); kNeverCycle when nothing is in flight.  Restarts only
-  /// ever delay completions, so the bound is conservative and wake-aware
-  /// drivers may sleep until it.
+  /// ever delay completions; a write that a racing same-address write may
+  /// supersede bounds at its next step.  So the bound is conservative and
+  /// wake-aware drivers may sleep until it.
   [[nodiscard]] sim::Cycle next_completion_hint(sim::Cycle now) const;
 
   /// Registers tick() with an engine as a Phase::Memory component in a
@@ -215,6 +216,8 @@ class CfmMemory {
   };
 
   [[nodiscard]] OpKind att_kind(const InFlight& op) const noexcept;
+  /// True while another write-like op on the same block is in flight.
+  [[nodiscard]] bool may_be_superseded(const InFlight& op) const noexcept;
   void check_faults(sim::Cycle now);
   sim::Word bank_access(sim::Cycle now, sim::BankId bank, mem::WordOp op,
                         sim::BlockAddr block, sim::Word value = 0);
@@ -223,7 +226,8 @@ class CfmMemory {
   bool handle_read_side(sim::Cycle now, InFlight& op, sim::BankId bank);
   void restart(sim::Cycle now, InFlight& op, sim::BankId bank,
                const char* counter);
-  void abort_write(sim::Cycle now, InFlight& op, sim::BankId bank);
+  void abort_write(sim::Cycle now, InFlight& op, sim::BankId bank,
+                   OpStatus status);
   void complete_or_drain(sim::Cycle now, InFlight& op);
   void finish(sim::Cycle now, InFlight& op, OpStatus status);
   /// Re-publishes the Phase::Memory quiescence hint on the registered

@@ -72,20 +72,7 @@ struct SharedSlotModel {
   [[nodiscard]] double slot_utilization(double rate) const noexcept;
 };
 
-/// Measures the fabric under closed-loop Bernoulli(r) traffic; returns
-/// {efficiency, utilization, conflicts}.
-struct SharedSlotResult {
-  double efficiency = 1.0;
-  double utilization = 0.0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t completed = 0;
-};
-
-[[nodiscard]] SharedSlotResult measure_shared_slots(std::uint32_t processors,
-                                                    std::uint32_t slots,
-                                                    std::uint32_t beta,
-                                                    double rate,
-                                                    sim::Cycle cycles,
-                                                    std::uint64_t seed);
+// workload::measure_shared_slots (access_gen.hpp) runs the fabric under
+// closed-loop Bernoulli traffic.
 
 }  // namespace cfm::core

@@ -87,7 +87,7 @@ struct ServeStats {
   std::uint64_t offered = 0;    ///< requests that reached admission
   std::uint64_t accepted = 0;   ///< admitted into the queue
   std::uint64_t rejected = 0;   ///< shed at a full queue
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;  ///< including writes a later write superseded
   std::uint64_t failed = 0;     ///< exhausted the fault-retry budget
   std::uint64_t retried = 0;    ///< retry events (fault path)
   std::uint64_t within_slo = 0; ///< completed with latency <= slo

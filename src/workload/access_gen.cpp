@@ -3,114 +3,29 @@
 #include <array>
 #include <concepts>
 #include <optional>
-#include <vector>
 
 #include "cfm/cfm_memory.hpp"
+#include "cfm/shared_slot.hpp"
 #include "mem/coded/coded_memory.hpp"
 #include "mem/conventional.hpp"
 #include "net/partial_omega.hpp"
-#include "sim/rng.hpp"
+#include "workload/contention.hpp"
 
 namespace cfm::workload {
 namespace {
 
-struct Access {
-  sim::Cycle first_attempt = 0;
-  sim::Cycle next_try = 0;
-  std::uint32_t module = 0;
-  std::uint32_t retries = 0;
-};
-
-/// Closed-loop driver: each processor has at most one outstanding block
-/// access (it owns exactly one AT path / port), generates a fresh one
-/// with probability `rate` per idle cycle, and backs off Uniform[1, beta]
-/// after a conflict.  Matching the analytic model, conflicts can only be
-/// caused by the *other* processors.
-template <typename TryStart, typename PickModule>
-EfficiencyResult run_closed_loop(std::uint32_t processors, std::uint32_t beta,
-                                 double rate, sim::Cycle cycles,
-                                 std::uint64_t seed, TryStart&& try_start,
-                                 PickModule&& pick_module) {
-  sim::Rng rng(seed);
-
-  struct Proc {
-    std::optional<Access> access;  // in flight (retrying)
-    sim::Cycle busy_until = 0;     // completion of the started access
-    sim::Cycle done_stat_at = 0;
-    bool counting = false;
-  };
-  std::vector<Proc> procs(processors);
-  sim::RunningStat access_time;
-  sim::RunningStat retry_count;
-  std::uint64_t conflicts = 0;
-  const sim::Cycle warmup = cycles / 10;
-
-  for (sim::Cycle now = 0; now < cycles; ++now) {
-    for (std::uint32_t p = 0; p < processors; ++p) {
-      auto& st = procs[p];
-      if (st.access.has_value()) {
-        auto& a = *st.access;
-        if (a.next_try > now) continue;
-        const auto done = try_start(p, a, now);
-        if (done == sim::kNeverCycle) {
-          ++conflicts;
-          ++a.retries;
-          a.next_try = now + rng.between(1, beta);
-        } else {
-          if (a.first_attempt >= warmup) {
-            access_time.add(static_cast<double>(done - a.first_attempt));
-            retry_count.add(static_cast<double>(a.retries));
-          }
-          st.busy_until = done;
-          st.access.reset();
-        }
-        continue;
-      }
-      if (now < st.busy_until) continue;  // data still streaming
-      if (!rng.chance(rate)) continue;
-      Access a;
-      a.first_attempt = now;
-      a.next_try = now;
-      a.module = pick_module(p, rng);
-      const auto done = try_start(p, a, now);
-      if (done == sim::kNeverCycle) {
-        ++conflicts;
-        ++a.retries;
-        a.next_try = now + rng.between(1, beta);
-        st.access = a;
-      } else {
-        if (a.first_attempt >= warmup) {
-          access_time.add(static_cast<double>(done - a.first_attempt));
-          retry_count.add(0.0);
-        }
-        st.busy_until = done;
-      }
-    }
-  }
-
+/// Efficiency of a contention-loop run against block time `beta`.
+EfficiencyResult efficiency_of(const ContentionStats& s, std::uint32_t beta) {
   EfficiencyResult out;
-  out.completed = access_time.count();
-  out.conflicts = conflicts;
-  out.mean_access_time = access_time.mean();
-  out.efficiency = access_time.count() == 0
+  out.completed = s.access_time.count();
+  out.conflicts = s.conflicts;
+  out.mean_access_time = s.access_time.mean();
+  out.efficiency = s.access_time.count() == 0
                        ? 1.0
-                       : static_cast<double>(beta) / access_time.mean();
-  // Accesses still retrying when the budget ran out are cut off exactly
-  // because they retried the longest, so a finished-only mean_retries is
-  // survivorship-biased low — the retry-side twin of the completion-side
-  // `unfinished` fix.  Their access *times* stay excluded (an unfinished
-  // access has no completion to measure; `unfinished` bounds that bias),
-  // but their retry counts are facts and fold into the statistic under
-  // the same warmup filter the finished samples use.
-  for (const auto& st : procs) {
-    if (!st.access.has_value()) continue;
-    ++out.unfinished;
-    out.unfinished_retries += st.access->retries;
-    if (st.access->first_attempt >= warmup) {
-      retry_count.add(static_cast<double>(st.access->retries));
-    }
-  }
-  out.mean_retries = retry_count.mean();
+                       : static_cast<double>(beta) / s.access_time.mean();
+  out.mean_retries = s.retries.mean();
+  out.unfinished = s.unfinished;
+  out.unfinished_retries = s.unfinished_retries;
   return out;
 }
 
@@ -121,14 +36,17 @@ EfficiencyResult measure_conventional(std::uint32_t processors,
                                       std::uint32_t beta, double rate,
                                       sim::Cycle cycles, std::uint64_t seed) {
   mem::ConventionalMemory memory(modules, beta);
-  return run_closed_loop(
-      processors, beta, rate, cycles, seed,
-      [&](std::uint32_t, const Access& a, sim::Cycle now) {
-        return memory.try_start(a.module, now);
-      },
-      [&](std::uint32_t, sim::Rng& rng) {
-        return static_cast<std::uint32_t>(rng.below(modules));
-      });
+  BernoulliArrivals source{rate, [modules](sim::ProcessorId, sim::Rng& rng) {
+                             return static_cast<std::uint32_t>(
+                                 rng.below(modules));
+                           }};
+  return efficiency_of(
+      run_contention(processors, beta, cycles, cycles / 10, seed, source,
+                     [&memory](sim::ProcessorId, std::uint32_t module,
+                               sim::Cycle now) {
+                       return memory.try_start(module, now);
+                     }),
+      beta);
 }
 
 EfficiencyResult measure_partial_cfm(std::uint32_t processors,
@@ -136,18 +54,41 @@ EfficiencyResult measure_partial_cfm(std::uint32_t processors,
                                      double rate, double locality,
                                      sim::Cycle cycles, std::uint64_t seed) {
   net::PartialCfmFabric fabric(processors, modules, beta);
-  return run_closed_loop(
-      processors, beta, rate, cycles, seed,
-      [&](std::uint32_t p, const Access& a, sim::Cycle now) {
-        return fabric.try_access(p, a.module, now);
-      },
-      [&](std::uint32_t p, sim::Rng& rng) {
+  BernoulliArrivals source{
+      rate, [&fabric, modules, locality](sim::ProcessorId p, sim::Rng& rng) {
         const auto home = fabric.home_module(p);
         if (modules == 1 || rng.chance(locality)) return home;
         // Uniform over the other m-1 modules.
         auto pick = static_cast<std::uint32_t>(rng.below(modules - 1));
         return pick >= home ? pick + 1 : pick;
+      }};
+  return efficiency_of(
+      run_contention(processors, beta, cycles, cycles / 10, seed, source,
+                     [&fabric](sim::ProcessorId p, std::uint32_t module,
+                               sim::Cycle now) {
+                       return fabric.try_access(p, module, now);
+                     }),
+      beta);
+}
+
+SharedSlotResult measure_shared_slots(std::uint32_t processors,
+                                      std::uint32_t slots, std::uint32_t beta,
+                                      double rate, sim::Cycle cycles,
+                                      std::uint64_t seed) {
+  core::SharedSlotFabric fabric(processors, slots, beta);
+  BernoulliArrivals source{
+      rate, [](sim::ProcessorId, sim::Rng&) { return std::uint32_t{0}; }};
+  const auto stats = run_contention(
+      processors, beta, cycles, cycles / 10, seed, source,
+      [&fabric](sim::ProcessorId p, std::uint32_t, sim::Cycle now) {
+        return fabric.try_access(p, now);
       });
+  SharedSlotResult out;
+  out.completed = stats.access_time.count();
+  out.conflicts = fabric.conflicts();
+  out.efficiency = efficiency_of(stats, beta).efficiency;
+  out.utilization = fabric.utilization(cycles);
+  return out;
 }
 
 EfficiencyResult measure_cfm(std::uint32_t processors, std::uint32_t bank_cycle,

@@ -4,9 +4,11 @@
 // Open-loop model matching §3.4.1: every cycle, every processor generates
 // a block access with probability r; the target module is uniform
 // (conventional) or home-cluster with probability lambda (partially
-// conflict-free).  A conflicting access backs off Uniform[1, beta] cycles
-// and retries — the analytic model's mean-beta/2 assumption.  Efficiency
-// is measured as beta / mean(completion - first attempt).
+// conflict-free).  The baselines run on the contention loop
+// (contention.hpp): a conflicting access backs off Uniform[1, beta]
+// cycles and retries — the analytic model's mean-beta/2 assumption.  The
+// CFM and coded memories run on PortDriver.  Efficiency is measured as
+// beta / mean(completion - first attempt).
 #pragma once
 
 #include <cstdint>
@@ -89,6 +91,7 @@ class ClosedLoop {
   void resolved(const Slot& slot, const core::BlockOpResult& r, Outcome o) {
     switch (o) {
       case Outcome::Completed:
+      case Outcome::Superseded:  // the write's tour ended; a later one landed
         access_time_->add(static_cast<double>(r.completed - slot.issued));
         ++completed_;
         shard_->counters.inc("ops_completed");
@@ -156,6 +159,22 @@ struct EfficiencyResult {
 [[nodiscard]] EfficiencyResult measure_partial_cfm(
     std::uint32_t processors, std::uint32_t modules, std::uint32_t beta,
     double rate, double locality, sim::Cycle cycles, std::uint64_t seed);
+
+/// Slot oversubscription (§7.2): v processors sharing s AT-space slots
+/// (core::SharedSlotFabric) under the same Bernoulli traffic.
+struct SharedSlotResult {
+  double efficiency = 1.0;
+  double utilization = 0.0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t completed = 0;
+};
+
+[[nodiscard]] SharedSlotResult measure_shared_slots(std::uint32_t processors,
+                                                    std::uint32_t slots,
+                                                    std::uint32_t beta,
+                                                    double rate,
+                                                    sim::Cycle cycles,
+                                                    std::uint64_t seed);
 
 /// Fully conflict-free machine, run on the *real* cycle-level CfmMemory:
 /// every access must complete in exactly beta with zero conflicts —

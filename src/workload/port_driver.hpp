@@ -4,12 +4,13 @@
 // port at a time.  Every Phase::Issue it harvests finished operations,
 // retries fault aborts, hands idle ports to its request source, and
 // publishes the Issue-phase wake hint.  The retry policy lives here and
-// nowhere else: an aborted access is retried up to kMaxRetries times,
-// each after a back-off of 1 + Uniform[0, 2β) cycles, and its latency
-// keeps counting from its original issue (or arrival); after the last
-// retry it counts as failed.  With the memory's fault watchdog, every
-// access therefore resolves within a bounded number of fault windows
-// (DESIGN.md §10).
+// nowhere else.  A Completed or Superseded result is final (a superseded
+// write let a later same-address write land, §4.1).  A fault abort is
+// retried up to kMaxRetries times, each after a back-off of
+// 1 + Uniform[0, 2β) cycles, and its latency keeps counting from its
+// original issue (or arrival); after the last retry it counts as failed.
+// With the memory's fault watchdog, every access therefore resolves
+// within a bounded number of fault windows (DESIGN.md §10).
 //
 // The request source is a template parameter, so the per-port loop makes
 // no virtual call.  A Source provides:
@@ -43,8 +44,9 @@ namespace cfm::workload {
 /// Retries an aborted access gets before it counts as failed.
 inline constexpr std::uint32_t kMaxRetries = 8;
 
-/// What became of a harvested operation.
-enum class Outcome : std::uint8_t { Completed, Retried, Failed };
+/// What became of a harvested operation.  Completed, Superseded and
+/// Failed are final; Retried means the access goes round again.
+enum class Outcome : std::uint8_t { Completed, Superseded, Retried, Failed };
 
 /// One processor port's request in flight.
 template <core::BlockMemory Memory, class Kind>
@@ -104,25 +106,46 @@ class PortDriver final : public sim::Component {
     return n;
   }
 
+  /// One pass over the ports: harvest, retry or refill each, and fold its
+  /// end-of-tick state into the wake hint.  Sleeps until the earliest
+  /// retry slot, the source's own wake cycle, or the memory's completion
+  /// lower bound.  Skipped cycles make no RNG draws on the reference path
+  /// either, so the random stream — and therefore the workload — is
+  /// bit-identical under the fast path.
   void tick_phase(sim::Phase, sim::Cycle now) override {
     source_.admit(now);
+    sim::Cycle wake = sim::kNeverCycle;
+    bool any_inflight = false;
+    bool any_idle = false;
     for (sim::ProcessorId p = 0; p < slots_.size(); ++p) {
       auto& slot = slots_[p];
       if (slot.op != Memory::kNoOp) {
         auto result = mem_.take_result(slot.op);
-        if (!result) continue;
+        if (!result) {
+          any_inflight = true;
+          continue;
+        }
         slot.op = Memory::kNoOp;
         harvest(now, slot, *result);
       }
       if (slot.pending_retry) {
-        if (now < slot.retry_at) continue;
+        if (now < slot.retry_at) {
+          wake = std::min(wake, slot.retry_at);
+          continue;
+        }
         slot.pending_retry = false;
       } else if (!source_.next(mem_, now, p, slot, rng_)) {
+        any_idle = true;
         continue;
       }
       slot.op = source_.start(mem_, now, p, slot);
+      any_inflight = true;
     }
-    publish_wake(now);
+    wake = std::min(wake, source_.wake(any_idle));
+    if (any_inflight && wake != sim::Component::kAlways) {
+      wake = std::min(wake, mem_.next_completion_hint(now));
+    }
+    set_next_event(wake);
   }
 
  private:
@@ -131,42 +154,21 @@ class PortDriver final : public sim::Component {
   }
 
   void harvest(sim::Cycle now, Slot& slot, const core::BlockOpResult& r) {
-    if (r.status == core::OpStatus::Completed) {
-      source_.resolved(slot, r, Outcome::Completed);
+    const auto outcome = r.status == core::OpStatus::Completed
+                             ? Outcome::Completed
+                         : r.status == core::OpStatus::Superseded
+                             ? Outcome::Superseded
+                         : slot.retries < kMaxRetries ? Outcome::Retried
+                                                      : Outcome::Failed;
+    if (outcome != Outcome::Retried) {
+      source_.resolved(slot, r, outcome);
       slot.retries = 0;
-    } else if (slot.retries < kMaxRetries) {
-      ++slot.retries;
-      source_.resolved(slot, r, Outcome::Retried);
-      slot.pending_retry = true;
-      slot.retry_at = now + 1 + rng_.below(2 * beta_);
-    } else {
-      source_.resolved(slot, r, Outcome::Failed);
-      slot.retries = 0;
+      return;
     }
-  }
-
-  /// Sleeps until the earliest retry slot, the source's own wake cycle,
-  /// or the memory's completion lower bound.  Skipped cycles make no RNG
-  /// draws on the reference path either, so the random stream — and
-  /// therefore the workload — is bit-identical under the fast path.
-  void publish_wake(sim::Cycle now) {
-    sim::Cycle wake = sim::kNeverCycle;
-    bool any_inflight = false;
-    bool any_idle = false;
-    for (const auto& slot : slots_) {
-      if (slot.op != Memory::kNoOp) {
-        any_inflight = true;
-      } else if (slot.pending_retry) {
-        wake = std::min(wake, slot.retry_at);
-      } else {
-        any_idle = true;
-      }
-    }
-    wake = std::min(wake, source_.wake(any_idle));
-    if (any_inflight && wake != sim::Component::kAlways) {
-      wake = std::min(wake, mem_.next_completion_hint(now));
-    }
-    set_next_event(wake);
+    ++slot.retries;
+    source_.resolved(slot, r, outcome);
+    slot.pending_retry = true;
+    slot.retry_at = now + 1 + rng_.below(2 * beta_);
   }
 
   Memory& mem_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -9,7 +10,11 @@
 
 #include "cfm/cfm_memory.hpp"
 #include "mem/conventional.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
+#include "workload/contention.hpp"
+#include "workload/port_driver.hpp"
 
 namespace cfm::workload {
 
@@ -82,81 +87,136 @@ Trace Trace::uniform(std::uint32_t processors, std::uint32_t modules,
   return t;
 }
 
-ReplayResult replay_on_cfm(const Trace& trace, std::uint32_t processors,
-                           std::uint32_t bank_cycle) {
-  return replay_on_cfm_instrumented(trace, processors, bank_cycle, nullptr,
-                                    nullptr);
-}
+namespace {
 
-ReplayResult replay_on_cfm_instrumented(const Trace& trace,
-                                        std::uint32_t processors,
-                                        std::uint32_t bank_cycle,
-                                        sim::TxnTracer* tracer,
-                                        sim::ConflictAuditor* auditor) {
+/// Each processor's records in trace order, handed out once due.  It is
+/// also the contention loop's source for replay on a try_start baseline.
+class TraceQueues {
+ public:
+  TraceQueues(const Trace& trace, std::uint32_t processors)
+      : queues_(processors), queued_(trace.size()) {
+    for (const auto& r : trace.records()) queues_[r.proc].push_back(r);
+    for (auto& q : queues_) std::reverse(q.begin(), q.end());  // pop_back
+  }
+
+  /// Processor p's next record, if it is due at `now`.
+  std::optional<TraceRecord> pop(sim::ProcessorId p, sim::Cycle now) {
+    auto& q = queues_[p];
+    if (q.empty() || q.back().issue > now) return std::nullopt;
+    const auto rec = q.back();
+    q.pop_back();
+    --queued_;
+    return rec;
+  }
+  bool next(sim::ProcessorId p, sim::Cycle now, sim::Rng&,
+            std::uint32_t& module) {
+    const auto rec = pop(p, now);
+    if (rec) module = rec->module;
+    return rec.has_value();
+  }
+  [[nodiscard]] bool drained() const noexcept { return queued_ == 0; }
+
+  /// The earliest record due after `now`.
+  [[nodiscard]] sim::Cycle due_after(sim::Cycle now) const noexcept {
+    sim::Cycle at = sim::kNeverCycle;
+    for (const auto& q : queues_) {
+      if (!q.empty() && q.back().issue > now) {
+        at = std::min(at, q.back().issue);
+      }
+    }
+    return at;
+  }
+
+ private:
+  std::vector<std::vector<TraceRecord>> queues_;
+  std::size_t queued_;
+};
+
+/// PortDriver source for trace replay on the CFM.  Resolved records are
+/// final: a superseded write counts as an aborted write, and the replay
+/// has no faults, so nothing is retried.
+struct TraceSource {
+  using Kind = core::BlockOpKind;
+
+  TraceQueues queues;
+  std::size_t unresolved;
+  sim::RunningStat latency{};
+  ReplayResult out{};
+  sim::Cycle now = 0;
+  std::vector<sim::Word> data{};
+
+  void admit(sim::Cycle cycle) noexcept { now = cycle; }
+
+  template <class Slot>
+  bool next(core::CfmMemory& mem, sim::Cycle cycle, sim::ProcessorId p,
+            Slot& slot, sim::Rng&) {
+    const auto rec = queues.pop(p, cycle);
+    if (!rec) return false;
+    if (auto* tracer = mem.txn_tracer()) {
+      // The record could have started at rec->issue; any gap until now
+      // was spent behind this processor's previous access.
+      tracer->queued_since(mem.txn_unit(), p, rec->issue);
+    }
+    slot.issued = cycle;
+    slot.kind = rec->is_write ? Kind::Write : Kind::Read;
+    slot.block = rec->offset;
+    return true;
+  }
+
+  template <class Slot>
+  core::CfmMemory::OpToken start(core::CfmMemory& mem, sim::Cycle cycle,
+                                 sim::ProcessorId p, const Slot& slot) {
+    if (slot.kind == Kind::Read) {
+      return mem.issue(cycle, p, slot.kind, slot.block);
+    }
+    data.assign(mem.block_words(), slot.block + 1);
+    return mem.issue(cycle, p, slot.kind, slot.block, data);
+  }
+
+  template <class Slot>
+  void resolved(const Slot& slot, const core::BlockOpResult& r, Outcome o) {
+    if (o == Outcome::Retried) return;
+    --unresolved;
+    if (o == Outcome::Completed) {
+      latency.add(static_cast<double>(r.completed - slot.issued));
+      out.restarts += r.restarts;
+    } else if (o == Outcome::Superseded) {
+      ++out.aborted_writes;
+    }
+  }
+
+  /// After the port loop no idle port holds a due record, so only future
+  /// records wake the driver; busy ports wake it through the memory.
+  [[nodiscard]] sim::Cycle wake(bool port_idle) const noexcept {
+    return port_idle ? queues.due_after(now) : sim::kNeverCycle;
+  }
+};
+
+}  // namespace
+
+ReplayResult replay_on_cfm(const Trace& trace, std::uint32_t processors,
+                           std::uint32_t bank_cycle, sim::TxnTracer* tracer,
+                           sim::ConflictAuditor* auditor) {
   trace.validate(processors);
+  sim::Engine engine;
   core::CfmMemory mem(core::CfmConfig::make(processors, bank_cycle));
   if (tracer != nullptr) mem.set_txn_trace(*tracer);
   if (auditor != nullptr) mem.set_audit(*auditor);
-  const auto banks = mem.config().banks;
+  const auto domain = engine.allocate_domain();
+  mem.attach(engine, domain);
+  PortDriver<core::CfmMemory, TraceSource> driver(
+      "workload.trace_replay", domain, mem, /*seed=*/0,
+      TraceSource{TraceQueues(trace, processors), trace.size()});
+  engine.add(driver);
+  const auto& source = driver.source();
+  (void)engine.run_until([&source] { return source.unresolved == 0; },
+                         1000 + 10ull * mem.config().banks * trace.size());
 
-  struct PerProc {
-    std::vector<TraceRecord> queue;  // reversed: pop_back = next
-    core::CfmMemory::OpToken op = core::CfmMemory::kNoOp;
-    sim::Cycle issued = 0;
-  };
-  std::vector<PerProc> procs(processors);
-  for (const auto& r : trace.records()) {
-    procs[r.proc].queue.push_back(r);
-  }
-  for (auto& p : procs) std::reverse(p.queue.begin(), p.queue.end());
-
-  ReplayResult out;
-  sim::RunningStat latency;
-  std::size_t remaining = trace.size();
-  sim::Cycle now = 0;
-  const sim::Cycle deadline_slack = 1000 + 10ull * banks * trace.size();
-
-  while (remaining > 0 && now < deadline_slack) {
-    for (std::uint32_t p = 0; p < processors; ++p) {
-      auto& st = procs[p];
-      if (st.op != core::CfmMemory::kNoOp) {
-        if (auto result = mem.take_result(st.op)) {
-          st.op = core::CfmMemory::kNoOp;
-          --remaining;
-          if (result->status == core::OpStatus::Completed) {
-            latency.add(static_cast<double>(result->completed - st.issued));
-            out.restarts += result->restarts;
-          } else {
-            ++out.aborted_writes;
-          }
-        }
-      }
-      if (st.op == core::CfmMemory::kNoOp && !st.queue.empty() &&
-          st.queue.back().issue <= now) {
-        const auto rec = st.queue.back();
-        st.queue.pop_back();
-        if (tracer != nullptr) {
-          // The record could have started at rec.issue; any gap until now
-          // was spent behind this processor's previous access.
-          tracer->queued_since(mem.txn_unit(), p, rec.issue);
-        }
-        if (rec.is_write) {
-          const std::vector<sim::Word> data(banks, rec.offset + 1);
-          st.op = mem.issue(now, p, core::BlockOpKind::Write, rec.offset, data);
-        } else {
-          st.op = mem.issue(now, p, core::BlockOpKind::Read, rec.offset);
-        }
-        st.issued = now;
-      }
-    }
-    mem.tick(now);
-    ++now;
-  }
-
-  out.completed = latency.count();
-  out.mean_latency = latency.mean();
-  out.unfinished = remaining;
-  out.makespan = now;
+  ReplayResult out = source.out;
+  out.completed = source.latency.count();
+  out.mean_latency = source.latency.mean();
+  out.unfinished = source.unresolved;
+  out.makespan = engine.now();
   return out;
 }
 
@@ -166,69 +226,20 @@ ReplayResult replay_on_conventional(const Trace& trace,
                                     std::uint64_t seed) {
   trace.validate(processors, modules);
   mem::ConventionalMemory memory(modules, beta);
-  sim::Rng rng(seed);
-
-  struct PerProc {
-    std::vector<TraceRecord> queue;  // reversed: pop_back = next
-    std::optional<TraceRecord> current;
-    sim::Cycle retry_at = 0;
-    sim::Cycle started = 0;
-    sim::Cycle busy_until = 0;
-  };
-  std::vector<PerProc> procs(processors);
-  for (const auto& r : trace.records()) {
-    procs[r.proc].queue.push_back(r);
-  }
-  for (auto& p : procs) std::reverse(p.queue.begin(), p.queue.end());
+  TraceQueues source(trace, processors);
+  const auto stats = run_contention(
+      processors, beta, 1000 + 50ull * beta * trace.size(), /*warmup=*/0,
+      seed, source,
+      [&memory](sim::ProcessorId, std::uint32_t module, sim::Cycle now) {
+        return memory.try_start(module, now);
+      });
 
   ReplayResult out;
-  sim::RunningStat latency;
-  std::size_t remaining = trace.size();
-  sim::Cycle now = 0;
-  const sim::Cycle limit = 1000 + 50ull * beta * trace.size();
-
-  while (remaining > 0 && now < limit) {
-    for (std::uint32_t p = 0; p < processors; ++p) {
-      auto& st = procs[p];
-      if (st.current.has_value()) {
-        if (st.retry_at > now) continue;
-        const auto done = memory.try_start(st.current->module, now);
-        if (done == sim::kNeverCycle) {
-          st.retry_at = now + rng.between(1, beta);
-          ++out.restarts;  // conventional: retries, not restarts
-        } else {
-          latency.add(static_cast<double>(done - st.started));
-          st.busy_until = done;
-          st.current.reset();
-          --remaining;
-        }
-        continue;
-      }
-      if (now < st.busy_until || st.queue.empty() ||
-          st.queue.back().issue > now) {
-        continue;
-      }
-      auto rec = st.queue.back();
-      st.queue.pop_back();
-      st.started = now;
-      const auto done = memory.try_start(rec.module, now);
-      if (done == sim::kNeverCycle) {
-        st.current = rec;
-        st.retry_at = now + rng.between(1, beta);
-        ++out.restarts;
-      } else {
-        latency.add(static_cast<double>(done - st.started));
-        st.busy_until = done;
-        --remaining;
-      }
-    }
-    ++now;
-  }
-
-  out.completed = latency.count();
-  out.mean_latency = latency.mean();
-  out.unfinished = remaining;
-  out.makespan = now;
+  out.completed = stats.access_time.count();
+  out.mean_latency = stats.access_time.mean();
+  out.restarts = stats.conflicts;  // conventional: retries, not restarts
+  out.unfinished = trace.size() - out.completed;
+  out.makespan = stats.makespan;
   return out;
 }
 

@@ -59,35 +59,39 @@ class Trace {
   std::vector<TraceRecord> records_;
 };
 
-/// Replays a trace against a conflict-free memory (all records with
-/// module 0) and returns the mean access latency — always beta.
+/// Outcome of one trace replay.
 struct ReplayResult {
   double mean_latency = 0.0;
   std::uint64_t completed = 0;
+  /// CFM: writes a later same-address write superseded (§4.1).
   std::uint64_t aborted_writes = 0;
+  /// CFM: tour restarts of completed accesses; conventional: conflict
+  /// retries.
   std::uint64_t restarts = 0;
   /// Records still queued or in flight when the replay hit its internal
   /// cycle budget.  Nonzero means the replay was truncated and
   /// `completed`/`mean_latency` describe only the drained prefix.
   std::uint64_t unfinished = 0;
+  /// One past the last completion (or the budget, when truncated).
   sim::Cycle makespan = 0;
 };
 
+/// Replays a trace against a conflict-free memory (module field ignored)
+/// as a PortDriver source on an Engine; latency is pinned at beta.  The
+/// optional transaction tracer and conflict auditor attach to the replay
+/// memory.  Each record's trace `issue` cycle feeds the tracer's queue
+/// hints, so a record that waited behind its processor's previous access
+/// shows the wait as a Queue span.
 [[nodiscard]] ReplayResult replay_on_cfm(const Trace& trace,
                                          std::uint32_t processors,
-                                         std::uint32_t bank_cycle);
+                                         std::uint32_t bank_cycle,
+                                         sim::TxnTracer* tracer = nullptr,
+                                         sim::ConflictAuditor* auditor =
+                                             nullptr);
 
-/// Instrumented replay: attaches the transaction tracer and/or conflict
-/// auditor to the replay memory.  Each record's trace `issue` cycle feeds
-/// the tracer's queue hints, so a record that waited behind its
-/// processor's previous access shows the wait as a Queue span.  Passing
-/// both null is exactly replay_on_cfm.
-[[nodiscard]] ReplayResult replay_on_cfm_instrumented(
-    const Trace& trace, std::uint32_t processors, std::uint32_t bank_cycle,
-    sim::TxnTracer* tracer, sim::ConflictAuditor* auditor);
-
-/// Replays the same trace against the conventional contended memory
-/// (module field used; conflicts retried with Uniform[1, beta] back-off).
+/// Replays the same trace against the conventional contended memory on
+/// the contention loop (module field used; conflicts retried with
+/// Uniform[1, beta] back-off).
 [[nodiscard]] ReplayResult replay_on_conventional(const Trace& trace,
                                                   std::uint32_t processors,
                                                   std::uint32_t modules,

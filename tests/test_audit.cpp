@@ -128,8 +128,7 @@ TEST(AuditCfm, RandomDistinctBlockTrafficIsClean) {
 TEST(AuditCfm, TraceReplayIsClean) {
   const auto trace = workload::Trace::uniform(8, 1, 64, 500, 600, 0.3, 11);
   ConflictAuditor auditor;
-  const auto r =
-      workload::replay_on_cfm_instrumented(trace, 8, 2, nullptr, &auditor);
+  const auto r = workload::replay_on_cfm(trace, 8, 2, nullptr, &auditor);
   EXPECT_EQ(r.unfinished, 0u);
   EXPECT_GT(auditor.checks_performed(), 0u);
   EXPECT_EQ(auditor.violations(), 0u);

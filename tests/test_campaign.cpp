@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <unistd.h>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -245,6 +246,36 @@ TEST(ResultCache, ConcurrentStoresOfSameKeyLandSafely) {
     }
   }
   EXPECT_EQ(leftovers, 0u);
+}
+
+TEST(ResultCache, OtherModelVersionIsAMissAndReruns) {
+  // A cache directory shared with another build: its entries carry that
+  // build's model version and must be re-executed, not served.
+  ScratchDir dir("model");
+  CampaignOptions options;
+  options.cache_dir = (dir.path / "cache").string();
+  options.jobs = 1;
+  const auto s = small_grid();
+  const auto first = run_campaign(s, options);
+  ASSERT_EQ(first.executed, 4u);
+
+  const ResultCache cache(options.cache_dir);
+  for (const auto& point : s.expand()) {
+    std::ifstream is(cache.path_for(point));
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    auto entry = sim::Json::parse(buf.str());
+    entry["model"] = kModelVersion + 1;
+    std::ofstream(cache.path_for(point), std::ios::trunc) << entry.dump();
+    EXPECT_FALSE(cache.load(point).has_value());
+  }
+
+  const auto second = run_campaign(s, options);
+  EXPECT_EQ(second.executed, 4u);
+  EXPECT_EQ(second.cached, 0u);
+  EXPECT_EQ(second.report.dump(), first.report.dump());
+  const auto third = run_campaign(s, options);
+  EXPECT_EQ(third.cached, 4u);
 }
 
 TEST(ResultCache, DisabledCacheNeverStores) {

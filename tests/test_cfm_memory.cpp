@@ -103,7 +103,7 @@ TEST(CfmMemory, Fig41SimultaneousWritesOneWinsCleanly) {
   const auto rb = *mem.take_result(b);
   // Processor 0 touches bank 0 first -> it has priority.
   EXPECT_EQ(ra.status, OpStatus::Completed);
-  EXPECT_EQ(rb.status, OpStatus::Aborted);
+  EXPECT_EQ(rb.status, OpStatus::Superseded);
   EXPECT_EQ(mem.peek_block(7), block_of(4, 1));
 }
 
@@ -116,7 +116,7 @@ TEST(CfmMemory, Fig43LaterWriteWinsUnderLatestWins) {
   mem.tick(t++);
   const auto b = mem.issue(1, 3, BlockOpKind::Write, 7, block_of(8, 0xB));
   run_until_done(mem, t, {a, b});
-  EXPECT_EQ(mem.take_result(a)->status, OpStatus::Aborted);
+  EXPECT_EQ(mem.take_result(a)->status, OpStatus::Superseded);
   EXPECT_EQ(mem.take_result(b)->status, OpStatus::Completed);
   EXPECT_EQ(mem.peek_block(7), block_of(8, 0xB));
 }
@@ -130,7 +130,7 @@ TEST(CfmMemory, Fig44SimultaneousEightBanks) {
   const auto c = mem.issue(0, 1, BlockOpKind::Write, 7, block_of(8, 0xC));
   const auto d = mem.issue(0, 5, BlockOpKind::Write, 7, block_of(8, 0xD));
   run_until_done(mem, t, {c, d});
-  EXPECT_EQ(mem.take_result(c)->status, OpStatus::Aborted);
+  EXPECT_EQ(mem.take_result(c)->status, OpStatus::Superseded);
   EXPECT_EQ(mem.take_result(d)->status, OpStatus::Completed);
   EXPECT_EQ(mem.peek_block(7), block_of(8, 0xD));
 }

@@ -249,7 +249,7 @@ TEST(CfmDegradation, UnmappedFaultKeepsLatencyBounded) {
     if ((res = mem.take_result(op))) break;
   }
   ASSERT_TRUE(res.has_value()) << "access never resolved";
-  EXPECT_NE(res->status, core::OpStatus::Completed);
+  EXPECT_EQ(res->status, core::OpStatus::Aborted);
   EXPECT_LE(res->completed - res->issued,
             timeout + cfg.block_access_time() + 1);
   EXPECT_GE(mem.counters().get("fault_aborts"), 1u);

@@ -40,6 +40,28 @@ TEST(ReplayCfmVsConventional, CfmLatencyPinnedAtBeta) {
   EXPECT_GT(conv.mean_latency, cfm.mean_latency);
 }
 
+TEST(ReplayCfmVsConventional, MakespanIsOnePastTheLastCompletion) {
+  // One read at cycle 5, latency 16 on both machines: it completes at 21,
+  // so both makespans are 22.  The conventional loop used to stop at the
+  // last *start* (6), leaving the access's block time out.
+  Trace trace;
+  trace.add(TraceRecord{5, 0, false, 0, 1});
+  EXPECT_EQ(replay_on_cfm(trace, 16, 1).makespan, 22u);
+  EXPECT_EQ(replay_on_conventional(trace, 16, 1, 16, 1).makespan, 22u);
+}
+
+TEST(ReplayCfmVsConventional, SupersededWriteIsFinal) {
+  // Two same-cycle writes to one block: the CFM keeps the one that
+  // reaches bank 0 first and supersedes the other (§4.1), once.
+  Trace trace;
+  trace.add(TraceRecord{0, 0, true, 0, 7});
+  trace.add(TraceRecord{0, 1, true, 0, 7});
+  const auto r = replay_on_cfm(trace, 4, 1);
+  EXPECT_EQ(r.aborted_writes, 1u);
+  EXPECT_EQ(r.completed, 1u);
+  EXPECT_EQ(r.unfinished, 0u);
+}
+
 TEST(ReplayConventional, DeterministicForFixedSeed) {
   const auto trace = Trace::uniform(8, 8, 64, 500, 1500, 0.5, 11);
   const auto a = replay_on_conventional(trace, 8, 8, 16, 42);

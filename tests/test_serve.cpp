@@ -253,18 +253,49 @@ TEST(Serve, UnmappedDeadBankExhaustsTheRetryBound) {
   EXPECT_EQ(st.completed + st.failed + st.rejected, st.offered);
 }
 
+TEST(Serve, SupersededWriteCompletesWithoutRetry) {
+  // Two ports write one block in the same cycle on a clean machine: the
+  // one that reaches bank 0 later is superseded (§4.1).  That is final,
+  // not a fault abort, so nothing retries and both requests complete.
+  sim::Engine engine;
+  core::CfmMemory memory(core::CfmConfig::make(4, 1));
+  const auto domain = engine.allocate_domain();
+  memory.attach(engine, domain);
+  ServePorts ports("serve.ports", domain, memory, 1,
+                   ServeDriver(/*slo=*/64, /*queue_depth=*/16, 1.0, 64));
+  engine.add(ports);
+  ports.source().submit(Request{RequestKind::Write, 7}, 0);
+  ports.source().submit(Request{RequestKind::Write, 7}, 0);
+  engine.run_for(64);
+  const auto& st = ports.source().stats();
+  EXPECT_EQ(st.retried, 0u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(memory.counters().get("ops_aborted"), 1u);
+  EXPECT_EQ(ports.in_flight(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Report determinism across engine configurations.
 
 TEST(Serve, ReportByteIdenticalAcrossEngineConfigs) {
-  for (const auto* shape :
-       {"poisson:rate=0.05", "bursty:rate=0.2,burst_factor=4",
-        "diurnal:rate=0.05"}) {
+  struct Mix {
+    const char* shape;
+    double write;
+    std::uint64_t blocks;
+  };
+  // The last mix races writes on 8 blocks, so superseded writes finish
+  // early: the driver's wake hint must not sleep past them.
+  for (const auto& [shape, write, blocks] :
+       {Mix{"poisson:rate=0.05", 0.25, 512},
+        Mix{"bursty:rate=0.2,burst_factor=4", 0.25, 512},
+        Mix{"diurnal:rate=0.05", 0.25, 512},
+        Mix{"poisson:rate=0.2", 0.6, 8}}) {
     ServeOptions opts;
     opts.arrival = ArrivalConfig::parse(shape);
     opts.seed = 17;
     opts.audit = true;
-    const auto reqs = synth_requests(1200, 0.25, 0.05, 0.05, 512, 17);
+    const auto reqs = synth_requests(1200, write, 0.05, 0.05, blocks, 17);
 
     std::string reference;
     {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "cfm/shared_slot.hpp"
+#include "workload/access_gen.hpp"
 
 namespace {
 
 using namespace cfm::core;
 using cfm::sim::Cycle;
+using cfm::workload::measure_shared_slots;
 
 TEST(SharedSlotFabric, ShapeValidation) {
   EXPECT_THROW(SharedSlotFabric(7, 3, 17), std::invalid_argument);
